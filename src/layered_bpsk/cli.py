@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import NoiseSpec, RatePoint, weights_from_ratio
+from .core import MAX_RATIO, NoiseSpec, weights_from_ratio
 from .montecarlo import (
     DECISION_FEEDBACK,
     GENIE_AIDED,
@@ -28,25 +28,15 @@ from .montecarlo import (
     ber_predictions_1d,
     simulate_1d,
 )
-from .rates import (
-    DEFAULT_REL_TOL,
-    bpsk_rate_at_snr,
-    ebn0_1d,
-    exact_mi_1d,
-    qpsk_rate_at_snr,
-    rate_diff,
-    rate_x,
-    rate_z,
-    rho_x,
-    rho_z,
-    shannon_capacity,
-    taylor_capacity,
-    taylor_rate_1d,
-    to_db,
-)
+from .rates import DEFAULT_REL_TOL, OperatingPoint, operating_point, shannon_capacity
 
 DEFAULT_SEED = 42424242
 DEFAULT_RATIOS = (2.0, 4.0, 8.0)
+# Largest dB grid one command accepts, checked before the grid is built.
+MAX_GRID_POINTS = 100_000
+# Grid bounds lie within +-MAX_ABS_DB, so every 10 ** (dB / 10) is a finite,
+# normal float.
+MAX_ABS_DB = 3000.0
 
 _RATE_SWEEP_HEADER = (
     "ratio", "r_z_bits_per_hz", "r_x_bits_per_hz", "r_1_bits_per_hz",
@@ -70,10 +60,11 @@ def _fmt(value: float) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated sweep parameters shared by the rate and gap commands.
+    """Validated sweep parameters shared by every command.
 
     The dB grid is half-open, [min_db, max_db): equal bounds give an empty
-    grid and therefore a header-only CSV.
+    grid and therefore a header-only CSV.  It has at most MAX_GRID_POINTS
+    points.
     """
 
     axis: str
@@ -93,19 +84,34 @@ class SweepSpec:
         if self.min_db > self.max_db:
             raise ValueError(
                 f"--min-db must not exceed --max-db, got {self.min_db} > {self.max_db}")
+        if self.min_db < -MAX_ABS_DB or self.max_db > MAX_ABS_DB:
+            raise ValueError(f"--min-db and --max-db must lie within +-{MAX_ABS_DB:g} dB, "
+                             f"got {self.min_db} and {self.max_db}")
         if self.step_db <= 0:
             raise ValueError(f"--step-db must be positive, got {self.step_db}")
+        self._count()
         for ratio in self.ratios:
-            if not math.isfinite(ratio) or ratio <= 1.0:
-                raise ValueError(f"--ratio values must be finite and > 1, got {ratio}")
+            if not math.isfinite(ratio) or not 1.0 < ratio <= MAX_RATIO:
+                raise ValueError(
+                    f"--ratio values must be finite and in (1, {MAX_RATIO:g}], got {ratio}")
         if not math.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ValueError(f"--sigma2 must be a finite number > 0, got {self.sigma2}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"--tolerance must be in (0, 1), got {self.rel_tol}")
 
+    def _count(self) -> int:
+        steps = (self.max_db - self.min_db) / self.step_db - 1e-9
+        if steps > MAX_GRID_POINTS:
+            raise ValueError(f"the dB grid would exceed {MAX_GRID_POINTS} points; "
+                             f"raise --step-db or narrow --min-db/--max-db")
+        return max(0, math.ceil(steps))
+
     def grid_db(self) -> list[float]:
-        count = max(0, math.ceil((self.max_db - self.min_db) / self.step_db - 1e-9))
-        return [self.min_db + k * self.step_db for k in range(count)]
+        return [self.min_db + k * self.step_db for k in range(self._count())]
+
+
+def _rho(snr_db: float) -> float:
+    return 10.0 ** (snr_db / 10.0)
 
 
 def _sweep_spec(args) -> SweepSpec:
@@ -128,33 +134,7 @@ def _sweep_spec(args) -> SweepSpec:
     )
 
 
-def _evaluate_point(snr_db: float, ratio: float, sigma2: float, rel_tol: float) -> RatePoint:
-    rho = 10.0 ** (snr_db / 10.0)
-    n0 = 2.0 * sigma2
-    w = weights_from_ratio(ratio, n0 * rho)
-    r_z_val = rate_z(w, sigma2, rel_tol)
-    r_x_val = rate_x(w, sigma2, rel_tol)
-    r_1 = r_z_val + r_x_val
-    return RatePoint(
-        snr_linear=rho,
-        ebn0_db=to_db(ebn0_1d(w, sigma2, rel_tol)),
-        r_bpsk=bpsk_rate_at_snr(rho, sigma2, rel_tol),
-        r_z=r_z_val,
-        r_x=r_x_val,
-        r_1=r_1,
-        r_2=r_1 + r_1,
-        qpsk_rate=qpsk_rate_at_snr(rho, sigma2, rel_tol),
-        capacity=shannon_capacity(rho),
-        exact_mi=exact_mi_1d(w, sigma2, rel_tol),
-        taylor_capacity=taylor_capacity(rho),
-        taylor_r1=taylor_rate_1d(w, n0),
-        rate_diff=rate_diff(w, n0),
-        rho_z=rho_z(w, n0),
-        rho_x=rho_x(w, n0),
-    )
-
-
-def _axis_value(axis: str, snr_db: float, point: RatePoint) -> float:
+def _axis_value(axis: str, snr_db: float, point: OperatingPoint) -> float:
     return snr_db if axis == "snr_db" else point.ebn0_db
 
 
@@ -162,7 +142,7 @@ def cmd_rate_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
     rows = []
     for ratio in spec.ratios:
         for snr_db in spec.grid_db():
-            p = _evaluate_point(snr_db, ratio, spec.sigma2, spec.rel_tol)
+            p = operating_point(_rho(snr_db), spec.sigma2, spec.rel_tol, ratio)
             rows.append([_fmt(_axis_value(spec.axis, snr_db, p)), _fmt(ratio),
                          _fmt(p.r_z), _fmt(p.r_x), _fmt(p.r_1), _fmt(p.r_2),
                          _fmt(p.r_bpsk), _fmt(p.qpsk_rate), _fmt(p.capacity),
@@ -174,7 +154,7 @@ def cmd_capacity_gap(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]
     rows = []
     for ratio in spec.ratios:
         for snr_db in spec.grid_db():
-            p = _evaluate_point(snr_db, ratio, spec.sigma2, spec.rel_tol)
+            p = operating_point(_rho(snr_db), spec.sigma2, spec.rel_tol, ratio)
             # The 2-D scheme occupies both axes, so its own channel SNR is
             # twice the per-axis sweep SNR.
             gap_1 = p.r_1 - p.capacity
@@ -198,10 +178,11 @@ def _central_slopes(rho: list[float], values: list[float]) -> list[float]:
 
 
 def cmd_appendix(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
-    rhos = [10.0 ** (db / 10.0) for db in spec.grid_db()]
-    capacity = [shannon_capacity(r) for r in rhos]
-    qpsk = [qpsk_rate_at_snr(r, spec.sigma2, spec.rel_tol) for r in rhos]
-    bpsk = [bpsk_rate_at_snr(r, spec.sigma2, spec.rel_tol) for r in rhos]
+    points = [operating_point(_rho(db), spec.sigma2, spec.rel_tol) for db in spec.grid_db()]
+    rhos = [p.snr_linear for p in points]
+    capacity = [p.capacity for p in points]
+    qpsk = [p.qpsk_rate for p in points]
+    bpsk = [p.r_bpsk for p in points]
     slopes = [_central_slopes(rhos, col) for col in (capacity, qpsk, bpsk)]
     rows = [
         [_fmt(rhos[i]), _fmt(capacity[i]), _fmt(qpsk[i]), _fmt(bpsk[i]),
@@ -219,8 +200,7 @@ def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
     spec = NoiseSpec(sweep.sigma2)
     rows = []
     for snr_db in sweep.grid_db():
-        rho = 10.0 ** (snr_db / 10.0)
-        w = weights_from_ratio(ratio, 2.0 * sweep.sigma2 * rho)
+        w = weights_from_ratio(ratio, 2.0 * sweep.sigma2 * _rho(snr_db))
         cfg = SimConfig(n_symbols=args.symbols, w=w, spec=spec, seed=args.seed,
                         mode=args.mode, workers=args.workers)
         report = simulate_1d(cfg)

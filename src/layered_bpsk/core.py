@@ -25,9 +25,37 @@ class Bit(enum.IntEnum):
         return f"Bit({int(self):+d})"
 
 
+# Largest alpha/beta ratio accepted; its square must stay a finite float.
+MAX_RATIO = 1e150
+
+
+def mean_power(pair: tuple[float, float]) -> float:
+    """Mean power of two equiprobable antipodal magnitudes (a, b)."""
+    a, b = pair
+    return 0.5 * a**2 + 0.5 * b**2
+
+
 @dataclass(frozen=True)
 class WeightPair:
-    """Layering weights of one dimension; requires alpha > beta > 0."""
+    """Layering weights of one dimension; requires alpha > beta > 0.
+
+    This class is the one table of the layered mapping.  The bits (x, z)
+    select one of four equiprobable amplitudes, listed by ``points``:
+
+    ====  ====  ==========
+     x     z    amplitude
+    ====  ====  ==========
+     +1    +1    +alpha
+     -1    -1    -alpha
+     -1    +1    +beta/2
+     +1    -1    -beta/2
+    ====  ====  ==========
+
+    The sign of the amplitude is always z.  The sign decision therefore sees
+    the magnitudes ``sign_pair`` = (alpha, beta/2); once the receiver
+    subtracts ``z * beta``, the residual magnitudes are ``residual_pair`` =
+    (alpha - beta, beta/2).  Both pairs are equiprobable.
+    """
 
     alpha: float
     beta: float
@@ -36,6 +64,7 @@ class WeightPair:
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.alpha <= self.beta:
@@ -47,23 +76,40 @@ class WeightPair:
     def ratio(self) -> float:
         return self.alpha / self.beta
 
+    @property
+    def points(self) -> tuple[tuple[int, int, float], ...]:
+        """The four (x, z, amplitude) symbols, in the order densities sum them."""
+        half = 0.5 * self.beta
+        return ((1, 1, self.alpha), (-1, -1, -self.alpha), (-1, 1, half), (1, -1, -half))
+
+    @property
+    def amplitudes(self) -> tuple[float, ...]:
+        return tuple(amplitude for _, _, amplitude in self.points)
+
+    @property
+    def sign_pair(self) -> tuple[float, float]:
+        return (self.alpha, 0.5 * self.beta)
+
+    @property
+    def residual_pair(self) -> tuple[float, float]:
+        return (self.alpha - self.beta, 0.5 * self.beta)
+
     def average_power(self) -> float:
-        """Mean transmitted power over the four equiprobable amplitudes
-        {+alpha, -alpha, +beta/2, -beta/2}."""
-        return 0.5 * self.alpha**2 + 0.5 * (0.5 * self.beta) ** 2
+        """Mean transmitted power over the four equiprobable amplitudes."""
+        return mean_power(self.sign_pair)
 
 
 def weights_from_ratio(ratio: float, avg_power: float) -> WeightPair:
     """Build the WeightPair with the given alpha/beta ratio and average power.
 
-    Solves alpha/beta = ratio subject to alpha**2/2 + (beta/2)**2/2 = avg_power,
-    so sweeps can hold received power fixed while varying the weight split.
+    Scales the pair (ratio, 1) to the requested power, so sweeps can hold
+    received power fixed while varying the weight split.
     """
-    if not math.isfinite(ratio) or ratio <= 1.0:
-        raise ValueError(f"ratio must be a finite number > 1, got {ratio!r}")
+    if not math.isfinite(ratio) or not 1.0 < ratio <= MAX_RATIO:
+        raise ValueError(f"ratio must be a finite number in (1, {MAX_RATIO:g}], got {ratio!r}")
     if not math.isfinite(avg_power) or avg_power <= 0.0:
         raise ValueError(f"avg_power must be a finite number > 0, got {avg_power!r}")
-    beta = math.sqrt(avg_power / (0.5 * ratio**2 + 0.125))
+    beta = math.sqrt(avg_power / WeightPair(ratio, 1.0).average_power())
     return WeightPair(alpha=ratio * beta, beta=beta)
 
 
@@ -94,32 +140,6 @@ class SymbolFrame:
     rx_sample: complex
     x_prime: Bit | None = None
     z_prime: Bit | None = None
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    """One sweep sample: SNR, Eb/N0 and every rate quantity reported by the CLI.
-
-    ``snr_linear`` is the received SNR with the total-noise normalization
-    power / (2 * sigma2); ``rho_z`` / ``rho_x`` are the per-stream equivalent
-    SNRs under the same normalization.  All rates are in bits/sec/Hz.
-    """
-
-    snr_linear: float
-    ebn0_db: float
-    r_bpsk: float
-    r_z: float
-    r_x: float
-    r_1: float
-    r_2: float
-    qpsk_rate: float
-    capacity: float
-    exact_mi: float
-    taylor_capacity: float
-    taylor_r1: float
-    rate_diff: float
-    rho_z: float
-    rho_x: float
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,12 @@
 """Bit-level encoders and hard-decision demodulators.
 
 The layered scheme transmits one of four equiprobable amplitudes per
-dimension:
-
-====  ====  ==============
- x     z    amplitude
-====  ====  ==============
- +1    +1    +alpha
- -1    -1    -alpha
- +1    -1    -beta/2
- -1    +1    +beta/2
-====  ====  ==============
-
-The receiver first decides z from the sign of the sample, then subtracts
-``z_hat * beta`` and decides x from the sign of the residual.  With a correct
-z decision the residual amplitude is either ``alpha - beta`` or ``beta / 2``,
-which is what makes the second stream demodulable without inter-stream
-interference.
+dimension, as listed by the table ``WeightPair.points`` in
+:mod:`layered_bpsk.core`.  The receiver first decides z from the sign of the
+sample, then subtracts ``z_hat * beta`` and decides x from the sign of the
+residual.  With a correct z decision the residual amplitude is either
+``alpha - beta`` or ``beta / 2``, which is what makes the second stream
+demodulable without inter-stream interference.
 
 Sign decisions at exactly zero resolve to +1: the event has measure zero
 under AWGN and a deterministic rule keeps every path reproducible.
@@ -55,9 +45,7 @@ def encode_1d(x: Bit, z: Bit, w: WeightPair) -> float:
     """Map a bit pair to its layered amplitude: alpha*x when the bits agree,
     (beta/2)*z when they differ."""
     x, z = Bit(x), Bit(z)
-    if x == z:
-        return w.alpha * float(x)
-    return 0.5 * w.beta * float(z)
+    return next(a for px, pz, a in w.points if (px, pz) == (x, z))
 
 
 def demod_1d(y: float, w: WeightPair) -> Demod1DResult:

@@ -6,9 +6,11 @@ bits, then noise), and results are reduced in chunk order.  Because the
 partition depends only on ``n_symbols``, reports are bit-identical for any
 worker count.  The ``workers`` field merely parallelizes chunk execution.
 
-The hard-decision path here is a vectorized replica of the scalar reference
-demodulators in :mod:`layered_bpsk.modem`; the test suite pins the two
-implementations against each other.
+Transmit amplitudes are looked up in the constellation table
+``WeightPair.points``, the same table the scalar encoder in
+:mod:`layered_bpsk.modem` reads.  The array sign decisions apply the rule of
+modem's scalar demodulators, ties at zero deciding +1; the test suite pins
+the two paths against each other.
 """
 
 from __future__ import annotations
@@ -65,13 +67,16 @@ def qfunc(t: float) -> float:
 def ber_predictions_1d(w: WeightPair, spec: NoiseSpec) -> tuple[float, float]:
     """Q-function BER predictions (ber_z, ber_x) assuming correct feedback.
 
-    The sign stage sees amplitudes alpha and beta/2; with the true z removed
-    the second stage sees alpha - beta and beta/2.
+    The sign stage sees ``w.sign_pair``; with the true z removed the second
+    stage sees ``w.residual_pair``.
     """
     sigma = math.sqrt(spec.sigma2)
-    ber_z = 0.5 * qfunc(w.alpha / sigma) + 0.5 * qfunc(0.5 * w.beta / sigma)
-    ber_x = 0.5 * qfunc((w.alpha - w.beta) / sigma) + 0.5 * qfunc(0.5 * w.beta / sigma)
-    return ber_z, ber_x
+
+    def pair_ber(pair: tuple[float, float]) -> float:
+        a, b = pair
+        return 0.5 * qfunc(a / sigma) + 0.5 * qfunc(b / sigma)
+
+    return pair_ber(w.sign_pair), pair_ber(w.residual_pair)
 
 
 def _chunk_sizes(n: int) -> list[int]:
@@ -94,7 +99,11 @@ def _random_bits(generator, n: int) -> np.ndarray:
 
 
 def _tx_amplitudes_1d(x: np.ndarray, z: np.ndarray, w: WeightPair) -> np.ndarray:
-    return np.where(x == z, w.alpha * x, 0.5 * w.beta * z).astype(float)
+    # x + 2*z + 3 sends the four +-1 bit pairs to the distinct slots 0, 2, 4, 6.
+    table = np.zeros(7)
+    for bx, bz, amplitude in w.points:
+        table[bx + 2 * bz + 3] = amplitude
+    return table.take(x + 2 * z + 3)
 
 
 def _sign_decisions(values: np.ndarray) -> np.ndarray:

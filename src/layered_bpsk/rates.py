@@ -15,7 +15,7 @@ Two SNR normalizations coexist here and are kept explicit throughout:
   leave the origin with slope log2(e), and conventional BPSK's rho/R ratio
   approaches ln 2 = -1.59 dB, the usual low-rate power limit.  The equivalent
   per-stream SNRs ``rho_z`` / ``rho_x`` are plain power/sigma2 arithmetic in
-  whatever normalization the caller passes; the sweep front end passes
+  whatever normalization the caller passes; ``ebn0_1d`` and ``ebn0_2d`` pass
   ``2 * sigma2`` so their first-order rate predictions line up with the
   integral rates.
 """
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import WeightPair
+from .core import WeightPair, mean_power, weights_from_ratio
 from .quadrature import IntegralSpec, integrate, plogp
 
 LOG2_E = math.log2(math.e)
@@ -72,13 +72,13 @@ def mixture_pdf(y, amplitude: float, sigma2: float):
 
 
 def layered_pdf(y, w: WeightPair, sigma2: float):
-    """Density of the four-point layered constellation {+-alpha, +-beta/2}."""
+    """Density of the four-point layered constellation ``w.amplitudes``."""
     sigma2 = _check_sigma2(sigma2)
     y = np.asarray(y, dtype=float)
     norm = 0.25 / math.sqrt(2.0 * math.pi * sigma2)
     inv = 0.5 / sigma2
     out = np.zeros_like(y, dtype=float)
-    for mean in (w.alpha, -w.alpha, 0.5 * w.beta, -0.5 * w.beta):
+    for mean in w.amplitudes:
         out = out + np.exp(-((y - mean) ** 2) * inv)
     out = norm * out
     if out.ndim == 0:
@@ -120,8 +120,7 @@ def received_entropy_bpsk(amplitude: float, sigma2: float,
 def received_entropy_layered(w: WeightPair, sigma2: float,
                              rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Entropy in bits of the four-point layered mixture output."""
-    means = (w.alpha, -w.alpha, 0.5 * w.beta, -0.5 * w.beta)
-    return _entropy_bits(lambda y: layered_pdf(y, w, sigma2), means, sigma2, rel_tol)
+    return _entropy_bits(lambda y: layered_pdf(y, w, sigma2), w.amplitudes, sigma2, rel_tol)
 
 
 @lru_cache(maxsize=8192)
@@ -142,18 +141,21 @@ def bpsk_rate(amplitude: float, sigma2: float, rel_tol: float = DEFAULT_REL_TOL)
     return _bpsk_rate_cached(float(amplitude), _check_sigma2(sigma2), float(rel_tol))
 
 
+def _pair_rate(pair: tuple[float, float], sigma2: float, rel_tol: float) -> float:
+    """Mean antipodal rate over two equiprobable amplitudes."""
+    a, b = pair
+    return 0.5 * (bpsk_rate(a, sigma2, rel_tol) + bpsk_rate(b, sigma2, rel_tol))
+
+
 def rate_z(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """First-stream rate: the sign decision sees amplitudes alpha and beta/2
-    with equal probability."""
-    return 0.5 * (bpsk_rate(w.alpha, sigma2, rel_tol)
-                  + bpsk_rate(0.5 * w.beta, sigma2, rel_tol))
+    """First-stream rate: the sign decision sees ``w.sign_pair``."""
+    return _pair_rate(w.sign_pair, sigma2, rel_tol)
 
 
 def rate_x(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Second-stream rate: after subtracting the first-stream decision the
-    residual amplitudes are alpha - beta and beta/2, equiprobable."""
-    return 0.5 * (bpsk_rate(w.alpha - w.beta, sigma2, rel_tol)
-                  + bpsk_rate(0.5 * w.beta, sigma2, rel_tol))
+    residual amplitudes are ``w.residual_pair``."""
+    return _pair_rate(w.residual_pair, sigma2, rel_tol)
 
 
 def rate_1d(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
@@ -202,8 +204,7 @@ def rho_z(w: WeightPair, sigma2: float) -> float:
 
 def rho_x(w: WeightPair, sigma2: float) -> float:
     """Equivalent SNR of the second stream from its residual amplitudes."""
-    power = 0.5 * (w.alpha - w.beta) ** 2 + 0.5 * (0.5 * w.beta) ** 2
-    return power / _check_sigma2(sigma2)
+    return mean_power(w.residual_pair) / _check_sigma2(sigma2)
 
 
 def taylor_rate_1d(w: WeightPair, sigma2: float) -> float:
@@ -291,48 +292,39 @@ def rate_derivative_at_zero(rate_fn: Callable[[float], float],
 
 
 @dataclass(frozen=True)
-class RateBreakdown:
-    """Every rate quantity of one operating point (weights plus noise).
+class OperatingPoint:
+    """The rate quantities the CLI prints for one grid point, in bits/sec/Hz.
 
-    ``capacity`` and the Taylor fields are evaluated at the received SNR
-    ``power / (2 * sigma2)`` so they are directly comparable with the
-    integral rates; rho fields carry the same normalization.
+    ``snr_linear`` is the received SNR ``rho = power / (2 * sigma2)`` of the
+    point.  The layered fields, ``ebn0_db`` to ``exact_mi``, are None for a
+    baseline-only point, which has no weights.
     """
 
-    r_z: float
-    r_x: float
-    r_1: float
-    r_1_prime: float
-    r_2: float
+    snr_linear: float
+    r_bpsk: float
+    qpsk_rate: float
     capacity: float
-    rho_bpsk: float
-    rho_z: float
-    rho_x: float
-    taylor_capacity: float
-    taylor_r1: float
-    rate_diff: float
+    ebn0_db: float | None = None
+    r_z: float | None = None
+    r_x: float | None = None
+    r_1: float | None = None
+    r_2: float | None = None
+    exact_mi: float | None = None
 
 
-def rate_breakdown(w: WeightPair, wp: WeightPair, sigma2: float,
-                   rel_tol: float = DEFAULT_REL_TOL) -> RateBreakdown:
-    """Bundle the standard rate quantities for one operating point."""
-    rz = rate_z(w, sigma2, rel_tol)
-    rx = rate_x(w, sigma2, rel_tol)
-    r1 = rz + rx
-    r1p = rate_1d(wp, sigma2, rel_tol)
-    n0 = 2.0 * sigma2
-    snr = rho_bpsk(w, n0)
-    return RateBreakdown(
-        r_z=rz,
-        r_x=rx,
-        r_1=r1,
-        r_1_prime=r1p,
-        r_2=r1 + r1p,
-        capacity=shannon_capacity(snr),
-        rho_bpsk=snr,
-        rho_z=rho_z(w, n0),
-        rho_x=rho_x(w, n0),
-        taylor_capacity=taylor_capacity(snr),
-        taylor_r1=taylor_rate_1d(w, n0),
-        rate_diff=rate_diff(w, n0),
-    )
+def operating_point(rho: float, sigma2: float, rel_tol: float = DEFAULT_REL_TOL,
+                    ratio: float | None = None) -> OperatingPoint:
+    """Evaluate the baselines at received SNR rho and, given an alpha/beta
+    ratio, the layered scheme at the same average power as conventional BPSK,
+    ``weights_from_ratio(ratio, 2 * sigma2 * rho)``."""
+    layered = {}
+    if ratio is not None:
+        w = weights_from_ratio(ratio, 2.0 * sigma2 * rho)
+        r_z = rate_z(w, sigma2, rel_tol)
+        r_x = rate_x(w, sigma2, rel_tol)
+        r_1 = r_z + r_x
+        layered = dict(ebn0_db=to_db(ebn0_1d(w, sigma2, rel_tol)), r_z=r_z, r_x=r_x,
+                       r_1=r_1, r_2=r_1 + r_1, exact_mi=exact_mi_1d(w, sigma2, rel_tol))
+    return OperatingPoint(snr_linear=rho, r_bpsk=bpsk_rate_at_snr(rho, sigma2, rel_tol),
+                          qpsk_rate=qpsk_rate_at_snr(rho, sigma2, rel_tol),
+                          capacity=shannon_capacity(rho), **layered)

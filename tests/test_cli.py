@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from layered_bpsk.cli import main
+import layered_bpsk
+from layered_bpsk.cli import MAX_GRID_POINTS, SweepSpec, main
 from layered_bpsk.rates import LOG2_E
 
 
@@ -180,8 +183,11 @@ def test_module_entry_point_matches_in_process_output(capsys):
             "--ratio", "2"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
+    # The child finds the package where this process imported it from, also
+    # when it is not installed.
+    env = dict(os.environ, PYTHONPATH=str(Path(layered_bpsk.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-m", "layered_bpsk.cli", *argv],
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, text=True, check=True, env=env)
     assert result.stdout == expected
 
 
@@ -212,3 +218,37 @@ class TestFailureModes:
                             "--out", "/nonexistent-dir/sweep.csv")
         assert code == 1
         assert err.startswith("layered-bpsk: error:")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("rate-sweep", "--ratio", "1e300", "--min-db", "0", "--max-db", "1"), "--ratio"),
+        (("ber", "--ratio", "1e300", "--min-db", "0", "--max-db", "1",
+          "--symbols", "10000"), "--ratio"),
+        (("rate-sweep", "--min-db", "4000", "--max-db", "4001"), "--max-db"),
+        (("appendix", "--min-db", "-4001", "--max-db", "-4000"), "--min-db"),
+    ])
+    def test_out_of_range_input_is_one_line_error(self, capsys, argv, flag):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
+        assert flag in err
+
+    @pytest.mark.parametrize("max_db, message", [
+        ("1e6", "--max-db"),  # 1e12 points, and beyond the dB bound as well
+        ("1000", f"exceed {MAX_GRID_POINTS} points"),  # 1e9 points
+    ])
+    def test_oversized_grid_rejected_before_it_is_built(self, capsys, max_db, message):
+        code, _, err = _run(capsys, "rate-sweep", "--min-db", "0", "--max-db", max_db,
+                            "--step-db", "1e-6")
+        assert code == 1
+        assert err.startswith("layered-bpsk: error:") and message in err
+
+    def test_grid_cap_is_inclusive(self):
+        step = 2.0**-7  # exact in binary, so the point count is exact too
+
+        def spec(points):
+            return SweepSpec(axis="snr_db", min_db=0.0, max_db=points * step, step_db=step,
+                             ratios=(2.0,), sigma2=1.0, rel_tol=1e-9, out="-")
+
+        assert len(spec(MAX_GRID_POINTS).grid_db()) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="grid"):
+            spec(MAX_GRID_POINTS + 1)

@@ -61,6 +61,15 @@ class TestWeightPair:
         # Four equiprobable amplitudes {+-2, +-0.5}: (4 + 0.25) / 2.
         assert WeightPair(2.0, 1.0).average_power() == 2.125
 
+    def test_constellation_table(self):
+        w = WeightPair(2, 1)
+        assert w.points == ((1, 1, 2.0), (-1, -1, -2.0), (-1, 1, 0.5), (1, -1, -0.5))
+        assert w.amplitudes == (2.0, -2.0, 0.5, -0.5)
+        assert all(type(a) is float for a in w.amplitudes)
+        assert all(z * a > 0 for _, z, a in w.points)  # the sign carries z
+        assert w.sign_pair == (2.0, 0.5)
+        assert w.residual_pair == (1.0, 0.5)
+
     @given(alpha=st.floats(min_value=1e-6, max_value=1e6),
            scale=st.floats(min_value=1e-6, max_value=1.0 - 1e-9))
     def test_every_constructed_pair_is_ordered(self, alpha, scale):
@@ -83,6 +92,11 @@ class TestWeightsFromRatio:
             weights_from_ratio(1.0, 1.0)
         with pytest.raises(ValueError, match="ratio"):
             weights_from_ratio(0.5, 1.0)
+
+    @pytest.mark.parametrize("bad", [1e300, math.inf, math.nan])
+    def test_huge_ratio_rejected(self, bad):
+        with pytest.raises(ValueError, match="ratio"):
+            weights_from_ratio(bad, 1.0)
 
     def test_high_ratio_asymptote(self):
         # beta -> 0 and alpha -> sqrt(2 * power) as the ratio grows.

@@ -16,10 +16,10 @@ from layered_bpsk.rates import (
     gaussian_entropy,
     layered_pdf,
     mixture_pdf,
+    operating_point,
     qpsk_rate_at_snr,
     rate_1d,
     rate_2d,
-    rate_breakdown,
     rate_derivative_at_zero,
     rate_diff,
     rate_x,
@@ -317,19 +317,24 @@ class TestEbN0:
         assert to_db(ebn0_1d(w, 1.0)) == pytest.approx(to_db(math.log(2.0)), abs=0.05)
 
 
-class TestBreakdown:
+class TestOperatingPoint:
     def test_fields_consistent(self):
-        wp = WeightPair(3.0, 1.0)
-        bd = rate_breakdown(W21, wp, 1.0)
-        assert bd.r_1 == bd.r_z + bd.r_x
-        assert bd.r_2 == bd.r_1 + bd.r_1_prime
-        assert bd.rho_z == bd.rho_bpsk
-        n0 = 2.0
-        assert bd.rho_bpsk == rho_bpsk(W21, n0)
-        assert bd.capacity == shannon_capacity(bd.rho_bpsk)
-        assert bd.taylor_r1 == taylor_rate_1d(W21, n0)
-        assert bd.rate_diff == rate_diff(W21, n0)
+        p = operating_point(0.5, 1.0, ratio=3.0)
+        assert p.r_1 == p.r_z + p.r_x
+        assert p.r_2 == 2.0 * p.r_1
+        assert p.capacity == shannon_capacity(p.snr_linear)
+        w = weights_from_ratio(3.0, 2.0 * 0.5)
+        assert (p.r_z, p.r_x) == (rate_z(w, 1.0), rate_x(w, 1.0))
+        assert p.ebn0_db == to_db(ebn0_1d(w, 1.0))
+        assert p.exact_mi == exact_mi_1d(w, 1.0)
 
+    def test_baseline_only_point(self):
+        p = operating_point(0.5, 1.0)
+        assert (p.r_bpsk, p.qpsk_rate) == (bpsk_rate_at_snr(0.5), qpsk_rate_at_snr(0.5))
+        assert p.r_z is p.r_1 is p.exact_mi is p.ebn0_db is None
+
+
+class TestBreakdown:
     def test_entropy_pieces(self):
         # H(Y) of the four-point mixture always exceeds the noise entropy.
         assert received_entropy_layered(W21, 1.0) > gaussian_entropy(1.0)
