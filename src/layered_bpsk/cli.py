@@ -203,7 +203,7 @@ def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
         w = weights_from_ratio(ratio, 2.0 * sweep.sigma2 * _rho(snr_db))
         cfg = SimConfig(n_symbols=args.symbols, w=w, spec=spec, seed=args.seed,
                         mode=args.mode, workers=args.workers)
-        report = simulate_1d(cfg)
+        report = simulate_1d(cfg, entropy=False)
         pred_z, pred_x = ber_predictions_1d(w, spec)
         rows.append([_fmt(snr_db), args.mode, _fmt(report.ber_z), _fmt(report.ber_x),
                      _fmt(pred_z), _fmt(pred_x),

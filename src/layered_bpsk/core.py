@@ -148,7 +148,8 @@ class SimReport:
 
     ``ci_*`` are the 3-sigma binomial confidence radii of the matching BER
     estimates.  ``empirical_entropy`` is the plug-in estimate of the received
-    signal entropy in bits with its standard error.
+    signal entropy in bits with its standard error; both are None when the
+    simulation skipped the estimate.
     """
 
     n_symbols: int
@@ -160,8 +161,8 @@ class SimReport:
     ber_x: float
     ci_z: float
     ci_x: float
-    empirical_entropy: float
-    entropy_std_error: float
+    empirical_entropy: float | None
+    entropy_std_error: float | None
     errors_z_prime: int | None = None
     errors_x_prime: int | None = None
     ber_z_prime: float | None = None

@@ -1,16 +1,21 @@
 """Seeded link-level simulation: BER counting and plug-in entropy estimates.
 
 Work is partitioned into fixed-size chunks of symbol indices; chunk ``k`` owns
-``NoiseStream(seed, stream_id=k)`` for all of its randomness (x bits, then z
-bits, then noise), and results are reduced in chunk order.  Because the
-partition depends only on ``n_symbols``, reports are bit-identical for any
-worker count.  The ``workers`` field merely parallelizes chunk execution.
+``NoiseStream(seed, stream_id=k)`` for all of its randomness, and results are
+reduced in chunk order.  Because the partition depends only on ``n_symbols``,
+reports are bit-identical for any worker count.  The ``workers`` field merely
+parallelizes chunk execution.
 
-Transmit amplitudes are looked up in the constellation table
-``WeightPair.points``, the same table the scalar encoder in
-:mod:`layered_bpsk.modem` reads.  The array sign decisions apply the rule of
-modem's scalar demodulators, ties at zero deciding +1; the test suite pins
-the two paths against each other.
+Each chunk draws its bits as two ``integers(0, 2, dtype=int64)`` arrays, x
+then z (then x' and z' in 2-D), and then the noise through
+:func:`layered_bpsk.channel.awgn_real` or ``awgn_complex``.  That order and
+dtype fix the random stream, and with it every CSV byte ``ber`` prints.  The
+0/1 draws index a 4-entry amplitude table built from ``WeightPair.points``,
+the table the scalar encoder in :mod:`layered_bpsk.modem` reads, and the two
+decisions are boolean compares equal to modem's sign rule, ties deciding +1;
+the test suite pins both against the scalar modem.  The plug-in entropy costs
+more per symbol than the rest of the kernel bar the noise, so
+``simulate_1d(cfg, entropy=False)`` skips it; the ``ber`` command does.
 """
 
 from __future__ import annotations
@@ -94,25 +99,50 @@ def _run_chunks(cfg: SimConfig, chunk_fn):
     return [sum(component) for component in zip(*parts)]
 
 
-def _random_bits(generator, n: int) -> np.ndarray:
-    return 2 * generator.integers(0, 2, size=n, dtype=np.int64) - 1
+def _draw_axis(generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One axis's bits as 0/1 draws, x then z; 1 stands for the bit +1."""
+    return (generator.integers(0, 2, size=n, dtype=np.int64),
+            generator.integers(0, 2, size=n, dtype=np.int64))
 
 
-def _tx_amplitudes_1d(x: np.ndarray, z: np.ndarray, w: WeightPair) -> np.ndarray:
-    # x + 2*z + 3 sends the four +-1 bit pairs to the distinct slots 0, 2, 4, 6.
-    table = np.zeros(7)
-    for bx, bz, amplitude in w.points:
-        table[bx + 2 * bz + 3] = amplitude
-    return table.take(x + 2 * z + 3)
+def _encode(x01: np.ndarray, z01: np.ndarray, w: WeightPair) -> np.ndarray:
+    """Amplitudes of ``w.points`` looked up at index 2*x01 + z01."""
+    table = np.empty(4)
+    for x, z, amplitude in w.points:
+        table[(x + 1) + (z + 1) // 2] = amplitude
+    return table.take(2 * x01 + z01)
 
 
-def _sign_decisions(values: np.ndarray) -> np.ndarray:
-    # Ties at exactly zero decide +1, matching modem._sign_bit.
-    return np.where(values >= 0.0, 1, -1)
+def _decide(y: np.ndarray, beta: float,
+            feedback: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (z_hat, x_hat) decisions, True for +1, by modem's rule.
+
+    z_hat = sign(y) and x_hat = sign(y - fb*beta), ties deciding +1, where fb
+    is z_hat or, in genie-aided mode, the true z passed as ``feedback``.  For
+    finite floats y - beta >= 0 exactly when y >= beta, so x_hat is +1
+    exactly when y >= beta, or when y >= -beta and fb is -1.
+    """
+    z_hat = y >= 0.0
+    fb = z_hat if feedback is None else feedback
+    return z_hat, (y >= beta) | ((y >= -beta) & ~fb)
+
+
+def _axis_errors(y: np.ndarray, x01: np.ndarray, z01: np.ndarray,
+                 w: WeightPair, genie: bool) -> tuple[int, int]:
+    z = z01.astype(bool)
+    z_hat, x_hat = _decide(y, w.beta, z if genie else None)
+    return (int(np.count_nonzero(z_hat != z)),
+            int(np.count_nonzero(x_hat != x01.astype(bool))))
 
 
 def _entropy_sums(neg_log2_p: np.ndarray) -> tuple[float, float]:
     return float(neg_log2_p.sum()), float((neg_log2_p * neg_log2_p).sum())
+
+
+def _entropy_stats(ent_sum: float, ent_sumsq: float, n: int) -> tuple[float, float]:
+    mean = ent_sum / n
+    variance = max(ent_sumsq / n - mean * mean, 0.0) * n / (n - 1)
+    return mean, math.sqrt(variance / n)
 
 
 def _binomial_ci(errors: int, n: int) -> float:
@@ -120,32 +150,47 @@ def _binomial_ci(errors: int, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def simulate_1d(cfg: SimConfig) -> SimReport:
+def _axis_fields(err_z: int, err_x: int, n: int, suffix: str = "") -> dict:
+    return {f"errors_z{suffix}": err_z, f"errors_x{suffix}": err_x,
+            f"ber_z{suffix}": err_z / n, f"ber_x{suffix}": err_x / n,
+            f"ci_z{suffix}": _binomial_ci(err_z, n), f"ci_x{suffix}": _binomial_ci(err_x, n)}
+
+
+def _report(cfg: SimConfig, errors: list, ent_sums: list) -> SimReport:
+    """SimReport from per-axis (err_z, err_x) counts and, if computed, the
+    two entropy sums."""
+    n = cfg.n_symbols
+    fields = _axis_fields(errors[0], errors[1], n)
+    if len(errors) == 4:
+        fields.update(_axis_fields(errors[2], errors[3], n, "_prime"))
+    entropy, entropy_se = _entropy_stats(*ent_sums, n) if ent_sums else (None, None)
+    return SimReport(n_symbols=n, seed=cfg.seed, mode=cfg.mode, empirical_entropy=entropy,
+                     entropy_std_error=entropy_se, **fields)
+
+
+def simulate_1d(cfg: SimConfig, entropy: bool = True) -> SimReport:
     """Simulate the one-dimensional layered scheme end to end.
 
     Counts z and x errors separately against the transmitted bits; in
     genie-aided mode the second stage subtracts the true z instead of the
-    decision, isolating error propagation.
+    decision, isolating error propagation.  With ``entropy=False`` the
+    plug-in entropy is skipped and its report fields are None; the error
+    counts are the same either way.
     """
     w, sigma2 = cfg.w, cfg.spec.sigma2
     genie = cfg.mode == GENIE_AIDED
 
     def chunk(stream_id: int, size: int):
         stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
-        gen = stream.generator
-        x = _random_bits(gen, size)
-        z = _random_bits(gen, size)
-        y = awgn_real(_tx_amplitudes_1d(x, z, w), stream)
-        z_hat = _sign_decisions(y)
-        feedback = z if genie else z_hat
-        x_hat = _sign_decisions(y - feedback * w.beta)
-        ent_sum, ent_sumsq = _entropy_sums(-np.log2(layered_pdf(y, w, sigma2)))
-        return (int(np.count_nonzero(z_hat != z)),
-                int(np.count_nonzero(x_hat != x)),
-                ent_sum, ent_sumsq)
+        x01, z01 = _draw_axis(stream.generator, size)
+        y = awgn_real(_encode(x01, z01, w), stream)
+        counts = _axis_errors(y, x01, z01, w, genie)
+        if not entropy:
+            return counts
+        return counts + _entropy_sums(-np.log2(layered_pdf(y, w, sigma2)))
 
-    err_z, err_x, ent_sum, ent_sumsq = _run_chunks(cfg, chunk)
-    return _report_1d(cfg, err_z, err_x, ent_sum, ent_sumsq)
+    sums = _run_chunks(cfg, chunk)
+    return _report(cfg, sums[:2], sums[2:])
 
 
 def simulate_2d(cfg: SimConfig) -> SimReport:
@@ -160,75 +205,17 @@ def simulate_2d(cfg: SimConfig) -> SimReport:
 
     def chunk(stream_id: int, size: int):
         stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
-        gen = stream.generator
-        x = _random_bits(gen, size)
-        z = _random_bits(gen, size)
-        xp = _random_bits(gen, size)
-        zp = _random_bits(gen, size)
-        tx = _tx_amplitudes_1d(x, z, w) + 1j * _tx_amplitudes_1d(xp, zp, wp)
-        y = awgn_complex(tx, stream)
-        z_hat = _sign_decisions(y.real)
-        zp_hat = _sign_decisions(y.imag)
-        fb_re = z if genie else z_hat
-        fb_im = zp if genie else zp_hat
-        x_hat = _sign_decisions(y.real - fb_re * w.beta)
-        xp_hat = _sign_decisions(y.imag - fb_im * wp.beta)
+        x01, z01 = _draw_axis(stream.generator, size)
+        xp01, zp01 = _draw_axis(stream.generator, size)
+        y = awgn_complex(_encode(x01, z01, w) + 1j * _encode(xp01, zp01, wp), stream)
         neg_log2_p = -np.log2(layered_pdf(y.real, w, sigma2)) \
             - np.log2(layered_pdf(y.imag, wp, sigma2))
-        ent_sum, ent_sumsq = _entropy_sums(neg_log2_p)
-        return (int(np.count_nonzero(z_hat != z)),
-                int(np.count_nonzero(x_hat != x)),
-                int(np.count_nonzero(zp_hat != zp)),
-                int(np.count_nonzero(xp_hat != xp)),
-                ent_sum, ent_sumsq)
+        return (_axis_errors(y.real, x01, z01, w, genie)
+                + _axis_errors(y.imag, xp01, zp01, wp, genie)
+                + _entropy_sums(neg_log2_p))
 
-    err_z, err_x, err_zp, err_xp, ent_sum, ent_sumsq = _run_chunks(cfg, chunk)
-    n = cfg.n_symbols
-    entropy, entropy_se = _entropy_stats(ent_sum, ent_sumsq, n)
-    return SimReport(
-        n_symbols=n,
-        seed=cfg.seed,
-        mode=cfg.mode,
-        errors_z=err_z,
-        errors_x=err_x,
-        ber_z=err_z / n,
-        ber_x=err_x / n,
-        ci_z=_binomial_ci(err_z, n),
-        ci_x=_binomial_ci(err_x, n),
-        empirical_entropy=entropy,
-        entropy_std_error=entropy_se,
-        errors_z_prime=err_zp,
-        errors_x_prime=err_xp,
-        ber_z_prime=err_zp / n,
-        ber_x_prime=err_xp / n,
-        ci_z_prime=_binomial_ci(err_zp, n),
-        ci_x_prime=_binomial_ci(err_xp, n),
-    )
-
-
-def _entropy_stats(ent_sum: float, ent_sumsq: float, n: int) -> tuple[float, float]:
-    mean = ent_sum / n
-    variance = max(ent_sumsq / n - mean * mean, 0.0) * n / (n - 1)
-    return mean, math.sqrt(variance / n)
-
-
-def _report_1d(cfg: SimConfig, err_z: int, err_x: int,
-               ent_sum: float, ent_sumsq: float) -> SimReport:
-    n = cfg.n_symbols
-    entropy, entropy_se = _entropy_stats(ent_sum, ent_sumsq, n)
-    return SimReport(
-        n_symbols=n,
-        seed=cfg.seed,
-        mode=cfg.mode,
-        errors_z=err_z,
-        errors_x=err_x,
-        ber_z=err_z / n,
-        ber_x=err_x / n,
-        ci_z=_binomial_ci(err_z, n),
-        ci_x=_binomial_ci(err_x, n),
-        empirical_entropy=entropy,
-        entropy_std_error=entropy_se,
-    )
+    sums = _run_chunks(cfg, chunk)
+    return _report(cfg, sums[:4], sums[4:])
 
 
 @dataclass(frozen=True)
@@ -249,7 +236,7 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
     noise), with p the matching two-point mixture.
     """
     if amplitude is None:
-        report = simulate_1d(cfg)
+        report = simulate_1d(cfg, entropy=True)
         return EntropyEstimate(report.empirical_entropy, report.entropy_std_error,
                                cfg.n_symbols)
 
@@ -259,8 +246,8 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
 
     def chunk(stream_id: int, size: int):
         stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
-        x = _random_bits(stream.generator, size)
-        y = awgn_real(amplitude * x, stream)
+        x01 = stream.generator.integers(0, 2, size=size, dtype=np.int64)
+        y = awgn_real(np.array([-amplitude, amplitude]).take(x01), stream)
         return _entropy_sums(-np.log2(mixture_pdf(y, amplitude, sigma2)))
 
     ent_sum, ent_sumsq = _run_chunks(cfg, chunk)

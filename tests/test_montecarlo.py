@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,14 @@ from scipy import special
 
 from layered_bpsk.channel import NoiseStream
 from layered_bpsk.core import Bit, NoiseSpec, WeightPair
-from layered_bpsk.modem import demod_1d, encode_1d, encode_2d
+from layered_bpsk.modem import demod_1d, demod_bpsk, encode_1d, encode_2d
 from layered_bpsk.montecarlo import (
     DECISION_FEEDBACK,
     GENIE_AIDED,
     SimConfig,
-    _random_bits,
-    _sign_decisions,
-    _tx_amplitudes_1d,
+    _decide,
+    _draw_axis,
+    _encode,
     ber_predictions_1d,
     empirical_entropy,
     qfunc,
@@ -75,27 +76,41 @@ class TestConfigValidation:
             simulate_2d(_cfg(n_symbols=10_000))
 
 
+def _bit(flag) -> Bit:
+    return Bit.PLUS if flag else Bit.MINUS
+
+
 class TestVectorizedPathMatchesScalarModem:
     def test_encoder_equivalence(self):
-        gen = np.random.default_rng(3)
-        x = 2 * gen.integers(0, 2, 1000) - 1
-        z = 2 * gen.integers(0, 2, 1000) - 1
-        vec = _tx_amplitudes_1d(x, z, W21)
-        ref = [encode_1d(Bit(int(xi)), Bit(int(zi)), W21) for xi, zi in zip(x, z)]
+        x01, z01 = _draw_axis(np.random.default_rng(3), 1000)
+        vec = _encode(x01, z01, W21)
+        ref = [encode_1d(_bit(xi), _bit(zi), W21) for xi, zi in zip(x01, z01)]
         assert np.array_equal(vec, np.array(ref))
 
     def test_demodulator_equivalence(self):
+        # Random samples plus exact ties at y = 0, beta and -beta, and their
+        # float neighbours, in both feedback modes.
+        beta = W21.beta
+        ties = [v for t in (0.0, beta, -beta)
+                for v in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf))]
         gen = np.random.default_rng(4)
-        y = gen.normal(0.0, 2.0, 500)
-        z_hat = _sign_decisions(y)
-        x_hat = _sign_decisions(y - z_hat * W21.beta)
-        for yi, zh, xh in zip(y, z_hat, x_hat):
+        y = np.concatenate([gen.normal(0.0, 2.0, 500), ties])
+        z_true = gen.integers(0, 2, y.size).astype(bool)
+        z_hat, x_hat = _decide(y, beta)
+        _, x_hat_genie = _decide(y, beta, z_true)
+        for yi, zh, xh, zt, xg in zip(y, z_hat, x_hat, z_true, x_hat_genie):
             ref = demod_1d(float(yi), W21)
-            assert (int(ref.z_hat), int(ref.x_hat)) == (zh, xh)
+            assert (ref.z_hat, ref.x_hat) == (_bit(zh), _bit(xh))
+            assert demod_bpsk(float(yi) - float(_bit(zt)) * beta) == _bit(xg)
 
     def test_bit_source_is_antipodal(self):
-        bits = _random_bits(np.random.default_rng(5), 1000)
-        assert set(np.unique(bits)) == {-1, 1}
+        # x then z, each one int64 draw from {0, 1}: the stream every golden
+        # ber digest depends on.
+        x01, z01 = _draw_axis(np.random.default_rng(5), 1000)
+        reference = np.random.default_rng(5)
+        assert np.array_equal(x01, reference.integers(0, 2, size=1000, dtype=np.int64))
+        assert np.array_equal(z01, reference.integers(0, 2, size=1000, dtype=np.int64))
+        assert set(np.unique(np.concatenate([x01, z01]))) == {0, 1}
 
 
 class TestSimulate1D:
@@ -131,6 +146,17 @@ class TestSimulate1D:
 
     def test_worker_count_does_not_change_report(self):
         assert simulate_1d(_cfg(workers=1)) == simulate_1d(_cfg(workers=3))
+
+    @pytest.mark.parametrize("mode", [DECISION_FEEDBACK, GENIE_AIDED])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_skipping_entropy_keeps_error_counts(self, mode, workers):
+        cfg = _cfg(n_symbols=300_000, mode=mode, workers=workers)
+        full = simulate_1d(cfg)
+        lean = simulate_1d(cfg, entropy=False)
+        assert full.empirical_entropy is not None
+        assert (lean.empirical_entropy, lean.entropy_std_error) == (None, None)
+        assert lean == dataclasses.replace(full, empirical_entropy=None,
+                                           entropy_std_error=None)
 
     def test_confidence_radius_formula(self):
         report = simulate_1d(_cfg(n_symbols=100_000))
