@@ -204,7 +204,7 @@ def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
         cfg = SimConfig(n_symbols=args.symbols, w=w, spec=spec, seed=args.seed,
                         mode=args.mode, workers=args.workers)
         report = simulate_1d(cfg, entropy=False)
-        pred_z, pred_x = ber_predictions_1d(w, spec)
+        pred_z, pred_x = ber_predictions_1d(w, spec, args.mode)
         rows.append([_fmt(snr_db), args.mode, _fmt(report.ber_z), _fmt(report.ber_x),
                      _fmt(pred_z), _fmt(pred_x),
                      _fmt(max(report.ci_z, report.ci_x)), str(args.seed)])

@@ -69,19 +69,51 @@ def qfunc(t: float) -> float:
     return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
-def ber_predictions_1d(w: WeightPair, spec: NoiseSpec) -> tuple[float, float]:
-    """Q-function BER predictions (ber_z, ber_x) assuming correct feedback.
+def _normal_mass(lo: float, hi: float, mean: float, sigma: float) -> float:
+    """P(lo <= Y < hi) for Y ~ N(mean, sigma**2); either bound may be infinite.
 
-    The sign stage sees ``w.sign_pair``; with the true z removed the second
-    stage sees ``w.residual_pair``.
+    Taken from the tail on the interval's side of the mean, so a small mass
+    keeps its relative precision.
     """
+    def upper(t: float) -> float:  # P(Y >= t)
+        return 0.0 if t == math.inf else qfunc((t - mean) / sigma)
+
+    def lower(t: float) -> float:  # P(Y < t)
+        return 0.0 if t == -math.inf else qfunc((mean - t) / sigma)
+
+    if lo >= mean:
+        return upper(lo) - upper(hi)
+    if hi <= mean:
+        return lower(hi) - lower(lo)
+    return 1.0 - lower(lo) - upper(hi)
+
+
+def ber_predictions_1d(w: WeightPair, spec: NoiseSpec, mode: str) -> tuple[float, float]:
+    """Q-function BER predictions (ber_z, ber_x) of the receiver in ``mode``.
+
+    The sign stage sees ``w.sign_pair`` in both modes.  With the true z
+    removed (genie-aided) the second stage sees ``w.residual_pair``.  With
+    the decided z fed back, x_hat = +1 exactly when y lies in [-beta, 0) or
+    [beta, inf), so ber_x is the mean over ``w.points`` of the Gaussian mass
+    of the region that decides against the sent x.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     sigma = math.sqrt(spec.sigma2)
 
     def pair_ber(pair: tuple[float, float]) -> float:
         a, b = pair
         return 0.5 * qfunc(a / sigma) + 0.5 * qfunc(b / sigma)
 
-    return pair_ber(w.sign_pair), pair_ber(w.residual_pair)
+    if mode == GENIE_AIDED:
+        return pair_ber(w.sign_pair), pair_ber(w.residual_pair)
+    b = w.beta
+    decides_plus = ((-b, 0.0), (b, math.inf))
+    decides_minus = ((-math.inf, -b), (0.0, b))
+    ber_x = sum(_normal_mass(lo, hi, amplitude, sigma)
+                for x, _, amplitude in w.points
+                for lo, hi in (decides_minus if x == 1 else decides_plus)) / 4.0
+    return pair_ber(w.sign_pair), ber_x
 
 
 def _chunk_sizes(n: int) -> list[int]:

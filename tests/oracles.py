@@ -43,6 +43,31 @@ def trapezoid_exact_mi(w, sigma2, nodes=TRAPEZOID_NODES):
     return trapezoid_entropy(means, sigma2, nodes) - gaussian_entropy_bits(sigma2)
 
 
+def trapezoid_ber_x_decision_feedback(w, sigma2, nodes=200_001):
+    """Brute-force second-stream BER of the decision-feedback receiver.
+
+    The decisions z_hat = sign(y) and x_hat = sign(y - z_hat * beta), ties
+    deciding +1, are constant between the breakpoints -beta, 0 and beta.  Each
+    segment's decision is taken at its midpoint, and every symbol's Gaussian
+    density is integrated by trapezoid over the segments that get its x wrong.
+    """
+    sigma = math.sqrt(sigma2)
+    reach = w.alpha + TRAPEZOID_TAIL_SIGMAS * sigma
+    edges = [-reach, -w.beta, 0.0, w.beta, reach]
+    symbols = [(1, w.alpha), (-1, -w.alpha), (-1, 0.5 * w.beta), (1, -0.5 * w.beta)]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        z_hat = 1.0 if mid >= 0.0 else -1.0
+        x_hat = 1 if mid - z_hat * w.beta >= 0.0 else -1
+        y = np.linspace(lo, hi, nodes)
+        for x, mean in symbols:
+            if x != x_hat:
+                density = np.exp(-((y - mean) ** 2) / (2.0 * sigma2)) / (sigma * math.sqrt(2.0 * math.pi))
+                total += float(np.trapezoid(density, y))
+    return total / 4.0
+
+
 def binary_entropy(p):
     if p <= 0.0 or p >= 1.0:
         return 0.0

@@ -162,6 +162,18 @@ class TestBer:
             assert abs(float(row[2]) - float(row[4])) <= ci
             assert abs(float(row[3]) - float(row[5])) <= ci
 
+    def test_decision_feedback_prediction_within_reported_ci(self, capsys):
+        # At 0 dB the genie value, 0.2339, lies far outside this radius.
+        code, out, _ = _run(capsys, "ber", "--min-db", "0", "--max-db", "1",
+                            "--symbols", "200000")
+        assert code == 0
+        _, rows = _rows(out)
+        assert rows[0][1] == "decision-feedback"
+        for row in rows:
+            ci = float(row[6])
+            assert abs(float(row[2]) - float(row[4])) <= ci
+            assert abs(float(row[3]) - float(row[5])) <= ci
+
     def test_seed_determinism(self, capsys):
         _, first, _ = _run(capsys, *self.ARGS)
         _, second, _ = _run(capsys, *self.ARGS)

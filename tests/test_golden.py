@@ -27,7 +27,7 @@ GOLDEN = {
         "fddf5afa57d77d42032ed91511e56f5b2218b9a3c65adf1a4b64aba2c125a4a0"),
     "ber-decision-feedback": (
         BER_GRID,
-        "bfbe19224038cef664b3f44dd2b55c6fedaf17a0b3d7ca75a326487531da45e1"),
+        "2f9576e36ff19872a007d0116531a7683233d1d2ce6a288b8926b356fb8ea73b"),
     "ber-genie-aided": (
         BER_GRID + ("--mode", "genie-aided"),
         "dcdf9a1766f880901b1d8d0c7d9532f4e8c654a2e8eef1e5eef63684f880b7f8"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from layered_bpsk.montecarlo import (
 )
 from layered_bpsk.rates import gaussian_entropy, rate_z, received_entropy_layered
 
-from oracles import binary_entropy
+from oracles import binary_entropy, trapezoid_ber_x_decision_feedback
 
 W21 = WeightPair(2.0, 1.0)
 SPEC1 = NoiseSpec(1.0)
 SEED = 20177
+OPERATING_POINTS = [(W21, 1.0), (WeightPair(3.0, 1.0), 0.25), (WeightPair(4.0, 1.0), 4.0)]
 
 
 def _cfg(**overrides):
@@ -123,16 +125,34 @@ class TestSimulate1D:
 
     def test_genie_ber_matches_q_function_oracle(self):
         report = simulate_1d(_cfg())
-        pred_z, pred_x = ber_predictions_1d(W21, SPEC1)
+        pred_z, pred_x = ber_predictions_1d(W21, SPEC1, GENIE_AIDED)
         n = report.n_symbols
         assert pred_z == pytest.approx(0.16564, abs=1e-5)
         assert pred_x == pytest.approx(0.23360, abs=1e-5)
         assert abs(report.ber_z - pred_z) <= 3.0 * math.sqrt(pred_z * (1 - pred_z) / n)
         assert abs(report.ber_x - pred_x) <= 3.0 * math.sqrt(pred_x * (1 - pred_x) / n)
 
-    @pytest.mark.parametrize("w, sigma2", [
-        (W21, 1.0), (WeightPair(3.0, 1.0), 0.25), (WeightPair(4.0, 1.0), 4.0),
-    ])
+    @pytest.mark.parametrize("w, sigma2", OPERATING_POINTS)
+    def test_decision_feedback_prediction_matches_region_integral(self, w, sigma2):
+        _, pred_x = ber_predictions_1d(w, NoiseSpec(sigma2), DECISION_FEEDBACK)
+        _, genie_x = ber_predictions_1d(w, NoiseSpec(sigma2), GENIE_AIDED)
+        assert pred_x == pytest.approx(trapezoid_ber_x_decision_feedback(w, sigma2),
+                                       rel=1e-9)
+        assert pred_x > genie_x
+
+    @pytest.mark.parametrize("w, sigma2", OPERATING_POINTS)
+    def test_decision_feedback_ber_matches_prediction(self, w, sigma2):
+        # Two checks per operating point; Bonferroni keeps a correct
+        # simulator's chance of failing any of them below 1e-3.
+        z = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 2 * len(OPERATING_POINTS)))
+        n = 400_000
+        report = simulate_1d(_cfg(n_symbols=n, w=w, spec=NoiseSpec(sigma2),
+                                  mode=DECISION_FEEDBACK), entropy=False)
+        pred_z, pred_x = ber_predictions_1d(w, NoiseSpec(sigma2), DECISION_FEEDBACK)
+        assert abs(report.ber_z - pred_z) <= z * math.sqrt(pred_z * (1 - pred_z) / n)
+        assert abs(report.ber_x - pred_x) <= z * math.sqrt(pred_x * (1 - pred_x) / n)
+
+    @pytest.mark.parametrize("w, sigma2", OPERATING_POINTS)
     def test_decision_feedback_never_beats_genie(self, w, sigma2):
         spec = NoiseSpec(sigma2)
         genie = simulate_1d(_cfg(n_symbols=200_000, w=w, spec=spec, mode=GENIE_AIDED))
