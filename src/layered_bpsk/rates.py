@@ -40,6 +40,13 @@ TAIL_SIGMAS = 12.0
 
 DEFAULT_REL_TOL = 1e-9
 
+# A rate is saturated, exactly, once every decision boundary between
+# neighbouring points lies at least this many noise deviations away from
+# them: the missing information is then below Q(40) ~ 1e-350, far under one
+# ulp.  Returning it directly also keeps the entropy windows, which lose
+# resolution near 1e16 deviations, away from huge amplitudes.
+SATURATION_SIGMAS = 40.0
+
 # Operating point and step for finite-difference slopes near zero SNR.
 DERIVATIVE_RHO = 1e-3
 DERIVATIVE_STEP = 1e-4
@@ -133,12 +140,16 @@ def _bpsk_rate_cached(amplitude: float, sigma2: float, rel_tol: float) -> float:
 
 def bpsk_rate(amplitude: float, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Achievable rate H(Y) - H(N) in bits/sec/Hz of amplitude-A antipodal
-    signalling on a real dimension with noise variance sigma2."""
+    signalling on a real dimension with noise variance sigma2; exactly 1 from
+    A = SATURATION_SIGMAS * sigma up."""
     if not math.isfinite(amplitude) or amplitude < 0.0:
         raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
     if amplitude == 0.0:
         return 0.0  # output density collapses to the noise density exactly
-    return _bpsk_rate_cached(float(amplitude), _check_sigma2(sigma2), float(rel_tol))
+    sigma2 = _check_sigma2(sigma2)
+    if amplitude >= SATURATION_SIGMAS * math.sqrt(sigma2):
+        return 1.0
+    return _bpsk_rate_cached(float(amplitude), sigma2, float(rel_tol))
 
 
 def _pair_rate(pair: tuple[float, float], sigma2: float, rel_tol: float) -> float:
@@ -174,8 +185,15 @@ def exact_mi_1d(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) 
 
     Audit quantity: H(Y) - H(N) with the full four-component output density,
     reported alongside the per-stream decomposition but never substituted
-    for it.
+    for it.  Once the half-gap between +-alpha and +-beta/2 is at least
+    SATURATION_SIGMAS noise deviations, Y tells +-alpha apart from every
+    other point, and only +-beta/2 can still be confused: the MI is then
+    1.5 + bpsk_rate(beta/2) / 2, which is exactly 2 once beta/2 is that far
+    from zero too.
     """
+    reach = SATURATION_SIGMAS * math.sqrt(_check_sigma2(sigma2))
+    if 0.5 * (w.alpha - 0.5 * w.beta) >= reach:
+        return 1.5 + 0.5 * bpsk_rate(0.5 * w.beta, sigma2, rel_tol)
     mi = received_entropy_layered(w, sigma2, rel_tol) - gaussian_entropy(sigma2)
     return min(max(mi, 0.0), 2.0)
 

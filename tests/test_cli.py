@@ -76,6 +76,19 @@ class TestRateSweep:
         assert float(rows[0][4]) == pytest.approx(2.0, abs=1e-2)
         assert float(rows[0][5]) == pytest.approx(4.0, abs=2e-2)
 
+    @pytest.mark.parametrize("snr_db", [320, 340, 2999])
+    def test_rates_saturate_up_to_the_top_of_the_range(self, capsys, snr_db):
+        grid = ("--min-db", str(snr_db), "--max-db", str(snr_db + 1), "--step-db", "1")
+        code, out, err = _run(capsys, "rate-sweep", "--axis", "snr_db", *grid, "--ratio", "2")
+        assert code == 0 and err == ""
+        _, rows = _rows(out)
+        assert rows[0][2:8] == ["1", "1", "2", "4", "1", "2"]
+        assert float(rows[0][8]) == pytest.approx(snr_db * math.log2(10.0) / 10.0, rel=1e-11)
+        assert rows[0][9] == "2"
+        code, out, err = _run(capsys, "appendix", *grid)
+        assert code == 0 and err == ""
+        assert _rows(out)[1][0][2:4] == ["2", "1"]
+
     def test_determinism(self, capsys):
         argv = ("rate-sweep", "--min-db", "-6", "--max-db", "-4", "--step-db", "0.5")
         _, first, _ = _run(capsys, *argv)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from layered_bpsk.core import WeightPair, weights_from_ratio
 from layered_bpsk.rates import (
     LOG2_E,
+    SATURATION_SIGMAS,
     bpsk_rate,
     bpsk_rate_at_snr,
     ebn0_1d,
@@ -108,6 +109,14 @@ class TestBpskRate:
     def test_vanishes_in_heavy_noise(self):
         assert bpsk_rate(1.0, 1e8) < 1e-6
 
+    @pytest.mark.parametrize("sigma2", [1.0, 0.04, 1e6])
+    def test_saturation_is_exact_and_continuous(self, sigma2):
+        sigma = math.sqrt(sigma2)
+        assert bpsk_rate(SATURATION_SIGMAS * sigma, sigma2) == 1.0
+        assert bpsk_rate(1e200 * sigma, sigma2) == 1.0
+        # Just below the switch the integral already rounds to one bit.
+        assert bpsk_rate(0.999 * SATURATION_SIGMAS * sigma, sigma2) == pytest.approx(1.0, abs=1e-12)
+
     def test_monotone_in_amplitude(self):
         grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.5, 4.0]
         values = [bpsk_rate(a, 1.0) for a in grid]
@@ -188,6 +197,24 @@ class TestExactMi:
 
     def test_bounded_by_constellation_size(self):
         assert exact_mi_1d(WeightPair(50.0, 1.0), 1.0) <= 2.0
+
+    def test_isolated_outer_points(self):
+        # Half-gap (alpha - beta/2)/2 = 49.75 sigma: only +-beta/2 can be
+        # confused, which the brute-force integral confirms.
+        w = WeightPair(100.0, 1.0)
+        assert exact_mi_1d(w, 1.0) == 1.5 + 0.5 * bpsk_rate(0.5, 1.0)
+        assert exact_mi_1d(w, 1.0) == pytest.approx(trapezoid_exact_mi(w, 1.0), abs=1e-7)
+        # Amplitudes near 1e17 sigma, where the entropy windows lose resolution.
+        assert exact_mi_1d(WeightPair(1e17, 1e-3), 1.0) == 1.5 + 0.5 * bpsk_rate(5e-4, 1.0)
+        assert exact_mi_1d(WeightPair(1e17, 1e16), 1.0) == 2.0
+
+    def test_saturation_switch_is_continuous(self):
+        # Outer half-gaps just below and just above SATURATION_SIGMAS.
+        below = exact_mi_1d(WeightPair(2.0 * SATURATION_SIGMAS + 0.4, 1.0), 1.0)
+        above = exact_mi_1d(WeightPair(2.0 * SATURATION_SIGMAS + 0.6, 1.0), 1.0)
+        assert below == pytest.approx(above, abs=1e-9)
+        assert exact_mi_1d(WeightPair(3.0 * SATURATION_SIGMAS, 2.0 * SATURATION_SIGMAS - 0.1),
+                           1.0) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("w, sigma2", [
         (W21, 1.0), (WeightPair(4.0, 1.0), 1.0), (WeightPair(1.5, 1.0), 0.5),
