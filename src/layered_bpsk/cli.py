@@ -38,6 +38,12 @@ MAX_GRID_POINTS = 100_000
 # normal float.
 MAX_ABS_DB = 3000.0
 
+# Options that take a number.  argparse reads a value such as -1e3 as an
+# option name, since only plain negative numbers like -5 or -0.5 are exempt,
+# so main() joins each of these with a negative value as --flag=value first.
+_NUMERIC_FLAGS = frozenset({"--min-db", "--max-db", "--step-db", "--sigma2", "--ratio",
+                            "--tolerance", "--seed", "--symbols", "--workers"})
+
 _RATE_SWEEP_HEADER = (
     "ratio", "r_z_bits_per_hz", "r_x_bits_per_hz", "r_1_bits_per_hz",
     "r_2_bits_per_hz", "bpsk_rate_bits_per_hz", "qpsk_rate_bits_per_hz",
@@ -283,6 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -1e3`` as ``--flag=-1e3`` for every numeric flag."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _NUMERIC_FLAGS and _is_negative_number(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 _SWEEP_COMMANDS = {
     "rate-sweep": cmd_rate_sweep,
     "capacity-gap": cmd_capacity_gap,
@@ -292,7 +319,7 @@ _SWEEP_COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command == "ber":
         if args.symbols < MIN_SYMBOLS:
             parser.error(f"--symbols must be at least {MIN_SYMBOLS}, got {args.symbols}")

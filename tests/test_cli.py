@@ -216,6 +216,22 @@ def test_module_entry_point_matches_in_process_output(capsys):
     assert result.stdout == expected
 
 
+@pytest.mark.parametrize("joined", [
+    ("appendix", "--min-db=-1e1", "--max-db", "0"),
+    ("rate-sweep", "--min-db=-2E0", "--max-db=-1.5e0", "--ratio", "2"),
+    ("capacity-gap", "--min-db=-1e0", "--max-db=-.5e0", "--step-db", "5e-1"),
+    ("ber", "--min-db=-1e0", "--max-db=-5e-1", "--symbols", "10000"),
+])
+def test_negative_value_in_exponent_notation_reads_as_a_number(capsys, joined):
+    # argparse itself accepts only the --flag=value form of these values.
+    spaced = [part for token in joined for part in token.split("=", 1)]
+    code, expected, _ = _run(capsys, *joined)
+    assert code == 0 and expected.count("\n") > 1
+    code, out, err = _run(capsys, *spaced)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
 class TestFailureModes:
     def test_zero_step_rejected(self, capsys):
         code, out, err = _run(capsys, "rate-sweep", "--step-db", "0")
@@ -250,6 +266,9 @@ class TestFailureModes:
           "--symbols", "10000"), "--ratio"),
         (("rate-sweep", "--min-db", "4000", "--max-db", "4001"), "--max-db"),
         (("appendix", "--min-db", "-4001", "--max-db", "-4000"), "--min-db"),
+        (("appendix", "--min-db", "-4e3", "--max-db", "0"), "--min-db"),
+        (("rate-sweep", "--sigma2", "-1e0"), "--sigma2"),
+        (("capacity-gap", "--ratio", "-2E0"), "--ratio"),
     ])
     def test_out_of_range_input_is_one_line_error(self, capsys, argv, flag):
         code, out, err = _run(capsys, *argv)
