@@ -279,7 +279,7 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
     def chunk(stream_id: int, size: int):
         stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
         x01 = stream.generator.integers(0, 2, size=size, dtype=np.int64)
-        y = awgn_real(np.array([-amplitude, amplitude]).take(x01), stream)
+        y = awgn_real(amplitude * (2 * x01 - 1), stream)
         return _entropy_sums(-np.log2(mixture_pdf(y, amplitude, sigma2)))
 
     ent_sum, ent_sumsq = _run_chunks(cfg, chunk)
