@@ -63,7 +63,8 @@ def trapezoid_ber_x_decision_feedback(w, sigma2, nodes=200_001):
         y = np.linspace(lo, hi, nodes)
         for x, mean in symbols:
             if x != x_hat:
-                density = np.exp(-((y - mean) ** 2) / (2.0 * sigma2)) / (sigma * math.sqrt(2.0 * math.pi))
+                density = (np.exp(-((y - mean) ** 2) / (2.0 * sigma2))
+                           / (sigma * math.sqrt(2.0 * math.pi)))
                 total += float(np.trapezoid(density, y))
     return total / 4.0
 

@@ -176,7 +176,7 @@ class TestBer:
             assert abs(float(row[3]) - float(row[5])) <= ci
 
     def test_decision_feedback_prediction_within_reported_ci(self, capsys):
-        # At 0 dB the genie value, 0.2339, lies far outside this radius.
+        # At 0 dB the genie value, 0.2399, lies far outside this radius.
         code, out, _ = _run(capsys, "ber", "--min-db", "0", "--max-db", "1",
                             "--symbols", "200000")
         assert code == 0
