@@ -17,18 +17,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import MAX_RATIO, NoiseSpec, weights_from_ratio
 from .montecarlo import (
     DECISION_FEEDBACK,
     GENIE_AIDED,
+    MAX_SYMBOLS,
     MIN_SYMBOLS,
     SimConfig,
     ber_predictions_1d,
     simulate_1d,
 )
-from .rates import DEFAULT_REL_TOL, OperatingPoint, operating_point, shannon_capacity
+from .rates import OperatingPoint, operating_point, shannon_capacity
 
 DEFAULT_SEED = 42424242
 DEFAULT_RATIOS = (2.0, 4.0, 8.0)
@@ -42,7 +43,7 @@ MAX_ABS_DB = 3000.0
 # option name, since only plain negative numbers like -5 or -0.5 are exempt,
 # so main() joins each of these with a negative value as --flag=value first.
 _NUMERIC_FLAGS = frozenset({"--min-db", "--max-db", "--step-db", "--sigma2", "--ratio",
-                            "--tolerance", "--seed", "--symbols", "--workers"})
+                            "--seed", "--symbols", "--workers"})
 
 _RATE_SWEEP_HEADER = (
     "ratio", "r_z_bits_per_hz", "r_x_bits_per_hz", "r_1_bits_per_hz",
@@ -79,7 +80,6 @@ class SweepSpec:
     step_db: float
     ratios: tuple[float, ...]
     sigma2: float
-    rel_tol: float
     out: str
 
     def __post_init__(self):
@@ -102,8 +102,6 @@ class SweepSpec:
                     f"--ratio values must be finite and in (1, {MAX_RATIO:g}], got {ratio}")
         if not math.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ValueError(f"--sigma2 must be a finite number > 0, got {self.sigma2}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"--tolerance must be in (0, 1), got {self.rel_tol}")
 
     def _count(self) -> int:
         steps = (self.max_db - self.min_db) / self.step_db - 1e-9
@@ -135,7 +133,6 @@ def _sweep_spec(args) -> SweepSpec:
         step_db=args.step_db,
         ratios=ratios,
         sigma2=args.sigma2,
-        rel_tol=getattr(args, "tolerance", DEFAULT_REL_TOL),
         out=args.out,
     )
 
@@ -148,7 +145,7 @@ def cmd_rate_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
     rows = []
     for ratio in spec.ratios:
         for snr_db in spec.grid_db():
-            p = operating_point(_rho(snr_db), spec.sigma2, spec.rel_tol, ratio)
+            p = operating_point(_rho(snr_db), spec.sigma2, ratio)
             rows.append([_fmt(_axis_value(spec.axis, snr_db, p)), _fmt(ratio),
                          _fmt(p.r_z), _fmt(p.r_x), _fmt(p.r_1), _fmt(p.r_2),
                          _fmt(p.r_bpsk), _fmt(p.qpsk_rate), _fmt(p.capacity),
@@ -160,7 +157,7 @@ def cmd_capacity_gap(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]
     rows = []
     for ratio in spec.ratios:
         for snr_db in spec.grid_db():
-            p = operating_point(_rho(snr_db), spec.sigma2, spec.rel_tol, ratio)
+            p = operating_point(_rho(snr_db), spec.sigma2, ratio)
             # The 2-D scheme occupies both axes, so its own channel SNR is
             # twice the per-axis sweep SNR.
             gap_1 = p.r_1 - p.capacity
@@ -184,7 +181,7 @@ def _central_slopes(rho: list[float], values: list[float]) -> list[float]:
 
 
 def cmd_appendix(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
-    points = [operating_point(_rho(db), spec.sigma2, spec.rel_tol) for db in spec.grid_db()]
+    points = [operating_point(_rho(db), spec.sigma2) for db in spec.grid_db()]
     rhos = [p.snr_linear for p in points]
     capacity = [p.capacity for p in points]
     qpsk = [p.qpsk_rate for p in points]
@@ -204,12 +201,14 @@ def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
         raise ValueError("ber takes a single --ratio")
     ratio = sweep.ratios[0]
     spec = NoiseSpec(sweep.sigma2)
+    # One config checks the simulation flags before the first point runs,
+    # also for an empty grid; each point only swaps in its weights.
+    base = SimConfig(n_symbols=args.symbols, w=weights_from_ratio(ratio, 1.0), spec=spec,
+                     seed=args.seed, mode=args.mode, workers=args.workers)
     rows = []
     for snr_db in sweep.grid_db():
         w = weights_from_ratio(ratio, 2.0 * sweep.sigma2 * _rho(snr_db))
-        cfg = SimConfig(n_symbols=args.symbols, w=w, spec=spec, seed=args.seed,
-                        mode=args.mode, workers=args.workers)
-        report = simulate_1d(cfg, entropy=False)
+        report = simulate_1d(replace(base, w=w), entropy=False)
         pred_z, pred_x = ber_predictions_1d(w, spec, args.mode)
         rows.append([_fmt(snr_db), args.mode, _fmt(report.ber_z), _fmt(report.ber_x),
                      _fmt(pred_z), _fmt(pred_x),
@@ -244,8 +243,6 @@ def _add_rate_flags(parser) -> None:
                         help="leading column: Eb/N0 (default) or the SNR grid value")
     parser.add_argument("--ratio", type=float, action="append", metavar="R",
                         help="alpha/beta ratio, repeatable (default 2 4 8)")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_REL_TOL,
-                        help="quadrature relative tolerance (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     appendix = sub.add_parser("appendix",
                               help="baseline rate curves and slopes vs linear SNR")
     _add_grid_flags(appendix, min_db=-40.0, max_db=0.0)
-    appendix.add_argument("--tolerance", type=float, default=DEFAULT_REL_TOL,
-                          help="quadrature relative tolerance (default 1e-9)")
 
     ber = sub.add_parser("ber", help="Monte Carlo bit error rates with Q-function "
                                      "predictions")
@@ -280,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     ber.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"RNG seed (default {DEFAULT_SEED})")
     ber.add_argument("--symbols", type=int, default=1_000_000,
-                     help="symbols per grid point, at least 10000 (default 1000000)")
+                     help=f"symbols per grid point, {MIN_SYMBOLS} to {MAX_SYMBOLS} "
+                          "(default 1000000)")
     ber.add_argument("--mode", choices=(DECISION_FEEDBACK, GENIE_AIDED),
                      default=DECISION_FEEDBACK,
                      help="second-stage feedback: demodulated or true bits")
@@ -318,15 +314,8 @@ _SWEEP_COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
-    if args.command == "ber":
-        if args.symbols < MIN_SYMBOLS:
-            parser.error(f"--symbols must be at least {MIN_SYMBOLS}, got {args.symbols}")
-        if args.workers < 1:
-            parser.error(f"--workers must be at least 1, got {args.workers}")
-        if not 0 <= args.seed < 2**64:
-            parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         if args.command == "ber":
             header, rows = cmd_ber(args)

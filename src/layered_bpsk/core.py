@@ -127,22 +127,6 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class SymbolFrame:
-    """One transmission instant: input bits, transmitted amplitude, received sample.
-
-    ``x_prime`` / ``z_prime`` carry the imaginary-axis bits of a two-dimensional
-    frame as their +-1 coefficients; they are None for one-dimensional frames.
-    """
-
-    x: Bit
-    z: Bit
-    tx_amplitude: complex
-    rx_sample: complex
-    x_prime: Bit | None = None
-    z_prime: Bit | None = None
-
-
-@dataclass(frozen=True)
 class SimReport:
     """Monte Carlo outcome; prime fields are filled by 2-D simulations only.
 

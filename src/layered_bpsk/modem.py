@@ -82,24 +82,8 @@ def demod_2d(y_prime: complex, w: WeightPair, wp: WeightPair) -> Demod2DResult:
     )
 
 
-def encode_bpsk(x: Bit, amplitude: float) -> float:
-    """Conventional antipodal mapping (baseline)."""
-    return amplitude * float(Bit(x))
-
-
 def demod_bpsk(y: float) -> Bit:
     if not math.isfinite(y):
         raise ValueError(f"received sample must be finite, got {y!r}")
     return _sign_bit(y)
 
-
-def encode_qpsk(x: Bit, xp: Bit, amplitude: float) -> complex:
-    """Per-axis BPSK on both axes (no Gray structure needed for two bits)."""
-    return complex(encode_bpsk(x, amplitude), encode_bpsk(xp, amplitude))
-
-
-def demod_qpsk(y: complex) -> tuple[Bit, Bit]:
-    y = complex(y)
-    if not cmath.isfinite(y):
-        raise ValueError(f"received sample must be finite, got {y!r}")
-    return _sign_bit(y.real), _sign_bit(y.imag)

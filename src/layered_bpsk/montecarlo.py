@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseStream, awgn_complex, awgn_real
-from .core import Bit, NoiseSpec, SimReport, SymbolFrame, WeightPair
-from .modem import encode_1d, encode_2d
+from .core import NoiseSpec, SimReport, WeightPair
 from .rates import layered_pdf, mixture_pdf
 
 DECISION_FEEDBACK = "decision-feedback"
@@ -36,6 +35,9 @@ GENIE_AIDED = "genie-aided"
 _MODES = (DECISION_FEEDBACK, GENIE_AIDED)
 
 MIN_SYMBOLS = 10_000
+# Largest symbol count of one run, about a minute of one worker's time at
+# roughly 55 ns per symbol; a larger count is far more likely a typo.
+MAX_SYMBOLS = 10**9
 _CHUNK = 1 << 17
 
 
@@ -52,8 +54,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n_symbols, int) or self.n_symbols < MIN_SYMBOLS:
-            raise ValueError(f"n_symbols must be an integer >= {MIN_SYMBOLS}, got {self.n_symbols!r}")
+        if not isinstance(self.n_symbols, int) or not MIN_SYMBOLS <= self.n_symbols <= MAX_SYMBOLS:
+            raise ValueError(f"n_symbols must be an integer in [{MIN_SYMBOLS}, {MAX_SYMBOLS}], "
+                             f"got {self.n_symbols!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.mode not in _MODES:
@@ -286,25 +289,3 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
     mean, std_error = _entropy_stats(ent_sum, ent_sumsq, cfg.n_symbols)
     return EntropyEstimate(mean, std_error, cfg.n_symbols)
 
-
-def sample_frames(w: WeightPair, spec: NoiseSpec, seed: int, n_frames: int,
-                  wp: WeightPair | None = None) -> list[SymbolFrame]:
-    """Generate a few transmission records through the scalar reference path."""
-    stream = NoiseStream(seed, 0, spec)
-    gen = stream.generator
-    frames = []
-    for _ in range(n_frames):
-        x = Bit(int(2 * gen.integers(0, 2) - 1))
-        z = Bit(int(2 * gen.integers(0, 2) - 1))
-        if wp is None:
-            tx = encode_1d(x, z, w)
-            frames.append(SymbolFrame(x=x, z=z, tx_amplitude=tx,
-                                      rx_sample=awgn_real(tx, stream)))
-        else:
-            x_prime = Bit(int(2 * gen.integers(0, 2) - 1))
-            z_prime = Bit(int(2 * gen.integers(0, 2) - 1))
-            tx = encode_2d(x, z, x_prime, z_prime, w, wp)
-            frames.append(SymbolFrame(x=x, z=z, tx_amplitude=tx,
-                                      rx_sample=awgn_complex(tx, stream),
-                                      x_prime=x_prime, z_prime=z_prime))
-    return frames

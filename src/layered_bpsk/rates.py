@@ -38,18 +38,12 @@ LOG2_E = math.log2(math.e)
 # mean; the discarded p*log2(p) tail beyond them is below 1e-25.
 TAIL_SIGMAS = 12.0
 
-DEFAULT_REL_TOL = 1e-9
-
 # A rate is saturated, exactly, once every decision boundary between
 # neighbouring points lies at least this many noise deviations away from
 # them: the missing information is then below Q(40) ~ 1e-350, far under one
 # ulp.  Returning it directly also keeps the entropy windows, which lose
 # resolution near 1e16 deviations, away from huge amplitudes.
 SATURATION_SIGMAS = 40.0
-
-# Operating point and step for finite-difference slopes near zero SNR.
-DERIVATIVE_RHO = 1e-3
-DERIVATIVE_STEP = 1e-4
 
 
 def _check_sigma2(sigma2: float) -> float:
@@ -93,14 +87,15 @@ def layered_pdf(y, w: WeightPair, sigma2: float):
     return out
 
 
-def _entropy_bits(pdf: Callable, means: tuple, sigma2: float, rel_tol: float) -> float:
+def _entropy_bits(pdf: Callable, means: tuple, sigma2: float) -> float:
     """-integral of p*log2(p) over +-TAIL_SIGMAS sigma around every mean.
 
     Integration runs piecewise over one window per mixture component, merged
     where they overlap, so widely separated components are always resolved by
     the initial partition.  Outside every window the density is below the
     TAIL_SIGMAS-sigma Gaussian tail and the dropped p*log2(p) mass is under
-    1e-25.
+    1e-25.  Every window uses ``IntegralSpec``'s default accuracy, the one
+    accuracy setting of the rate engine.
     """
     reach = TAIL_SIGMAS * math.sqrt(sigma2)
     windows: list[list[float]] = []
@@ -112,33 +107,26 @@ def _entropy_bits(pdf: Callable, means: tuple, sigma2: float, rel_tol: float) ->
             windows.append([low, high])
     total = 0.0
     for low, high in windows:
-        spec = IntegralSpec(low, high, rel_tol=rel_tol)
-        total += integrate(lambda y: plogp(pdf(y)), spec)
+        total += integrate(lambda y: plogp(pdf(y)), IntegralSpec(low, high))
     return -total
 
 
-def received_entropy_bpsk(amplitude: float, sigma2: float,
-                          rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Entropy in bits of the two-point mixture output."""
-    return _entropy_bits(lambda y: mixture_pdf(y, amplitude, sigma2),
-                         (amplitude, -amplitude), sigma2, rel_tol)
-
-
-def received_entropy_layered(w: WeightPair, sigma2: float,
-                             rel_tol: float = DEFAULT_REL_TOL) -> float:
+def received_entropy_layered(w: WeightPair, sigma2: float) -> float:
     """Entropy in bits of the four-point layered mixture output."""
-    return _entropy_bits(lambda y: layered_pdf(y, w, sigma2), w.amplitudes, sigma2, rel_tol)
+    return _entropy_bits(lambda y: layered_pdf(y, w, sigma2), w.amplitudes, sigma2)
 
 
 @lru_cache(maxsize=8192)
-def _bpsk_rate_cached(amplitude: float, sigma2: float, rel_tol: float) -> float:
-    rate = received_entropy_bpsk(amplitude, sigma2, rel_tol) - gaussian_entropy(sigma2)
+def _bpsk_rate_cached(amplitude: float, sigma2: float) -> float:
+    entropy = _entropy_bits(lambda y: mixture_pdf(y, amplitude, sigma2),
+                            (amplitude, -amplitude), sigma2)
+    rate = entropy - gaussian_entropy(sigma2)
     # Quadrature round-off can leave ~1e-12 of either sign at the extremes;
     # the true value lives in [0, 1] for a binary input.
     return min(max(rate, 0.0), 1.0)
 
 
-def bpsk_rate(amplitude: float, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def bpsk_rate(amplitude: float, sigma2: float) -> float:
     """Achievable rate H(Y) - H(N) in bits/sec/Hz of amplitude-A antipodal
     signalling on a real dimension with noise variance sigma2; exactly 1 from
     A = SATURATION_SIGMAS * sigma up."""
@@ -149,38 +137,37 @@ def bpsk_rate(amplitude: float, sigma2: float, rel_tol: float = DEFAULT_REL_TOL)
     sigma2 = _check_sigma2(sigma2)
     if amplitude >= SATURATION_SIGMAS * math.sqrt(sigma2):
         return 1.0
-    return _bpsk_rate_cached(float(amplitude), sigma2, float(rel_tol))
+    return _bpsk_rate_cached(float(amplitude), sigma2)
 
 
-def _pair_rate(pair: tuple[float, float], sigma2: float, rel_tol: float) -> float:
+def _pair_rate(pair: tuple[float, float], sigma2: float) -> float:
     """Mean antipodal rate over two equiprobable amplitudes."""
     a, b = pair
-    return 0.5 * (bpsk_rate(a, sigma2, rel_tol) + bpsk_rate(b, sigma2, rel_tol))
+    return 0.5 * (bpsk_rate(a, sigma2) + bpsk_rate(b, sigma2))
 
 
-def rate_z(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def rate_z(w: WeightPair, sigma2: float) -> float:
     """First-stream rate: the sign decision sees ``w.sign_pair``."""
-    return _pair_rate(w.sign_pair, sigma2, rel_tol)
+    return _pair_rate(w.sign_pair, sigma2)
 
 
-def rate_x(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def rate_x(w: WeightPair, sigma2: float) -> float:
     """Second-stream rate: after subtracting the first-stream decision the
     residual amplitudes are ``w.residual_pair``."""
-    return _pair_rate(w.residual_pair, sigma2, rel_tol)
+    return _pair_rate(w.residual_pair, sigma2)
 
 
-def rate_1d(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def rate_1d(w: WeightPair, sigma2: float) -> float:
     """Sum rate of the two layered streams on one dimension."""
-    return rate_z(w, sigma2, rel_tol) + rate_x(w, sigma2, rel_tol)
+    return rate_z(w, sigma2) + rate_x(w, sigma2)
 
 
-def rate_2d(w: WeightPair, wp: WeightPair, sigma2: float,
-            rel_tol: float = DEFAULT_REL_TOL) -> float:
+def rate_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
     """Sum rate over both axes; exactly doubles rate_1d when w == wp."""
-    return rate_1d(w, sigma2, rel_tol) + rate_1d(wp, sigma2, rel_tol)
+    return rate_1d(w, sigma2) + rate_1d(wp, sigma2)
 
 
-def exact_mi_1d(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def exact_mi_1d(w: WeightPair, sigma2: float) -> float:
     """Exact mutual information of the equiprobable four-point constellation.
 
     Audit quantity: H(Y) - H(N) with the full four-component output density,
@@ -193,8 +180,8 @@ def exact_mi_1d(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) 
     """
     reach = SATURATION_SIGMAS * math.sqrt(_check_sigma2(sigma2))
     if 0.5 * (w.alpha - 0.5 * w.beta) >= reach:
-        return 1.5 + 0.5 * bpsk_rate(0.5 * w.beta, sigma2, rel_tol)
-    mi = received_entropy_layered(w, sigma2, rel_tol) - gaussian_entropy(sigma2)
+        return 1.5 + 0.5 * bpsk_rate(0.5 * w.beta, sigma2)
+    mi = received_entropy_layered(w, sigma2) - gaussian_entropy(sigma2)
     return min(max(mi, 0.0), 2.0)
 
 
@@ -243,49 +230,46 @@ def snr_to_amplitude(rho: float, sigma2: float) -> float:
     return math.sqrt(2.0 * _check_sigma2(sigma2) * rho)
 
 
-def bpsk_rate_at_snr(rho: float, sigma2: float = 1.0,
-                     rel_tol: float = DEFAULT_REL_TOL) -> float:
+def bpsk_rate_at_snr(rho: float, sigma2: float = 1.0) -> float:
     """Conventional BPSK rate as a function of received SNR.
 
     All transmit power sits on the real axis; rho counts it against the total
     noise power 2 * sigma2 of the complex channel.
     """
-    return bpsk_rate(snr_to_amplitude(rho, sigma2), sigma2, rel_tol)
+    return bpsk_rate(snr_to_amplitude(rho, sigma2), sigma2)
 
 
-def qpsk_rate_at_snr(rho: float, sigma2: float = 1.0,
-                     rel_tol: float = DEFAULT_REL_TOL) -> float:
+def qpsk_rate_at_snr(rho: float, sigma2: float = 1.0) -> float:
     """Per-axis-BPSK QPSK rate at received SNR rho: the power splits evenly
     over both axes, so each axis runs at per-axis SNR rho and the rate is
     twice the per-axis BPSK rate."""
     if not math.isfinite(rho) or rho < 0.0:
         raise ValueError(f"rho must be a finite number >= 0, got {rho!r}")
     per_axis_amplitude = math.sqrt(_check_sigma2(sigma2) * rho)
-    return 2.0 * bpsk_rate(per_axis_amplitude, sigma2, rel_tol)
+    return 2.0 * bpsk_rate(per_axis_amplitude, sigma2)
 
 
-def ebn0_1d(w: WeightPair, sigma2: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def ebn0_1d(w: WeightPair, sigma2: float) -> float:
     """Energy-per-bit over N0 for the one-dimensional scheme.
 
     sigma2 is the per-dimension noise variance; the SNR terms are normalized
     by the total noise power N0 = 2 * sigma2 so the ratio is comparable with
     the conventional-BPSK curve and its -1.59 dB floor.
     """
-    r1 = rate_1d(w, sigma2, rel_tol)
+    r1 = rate_1d(w, sigma2)
     if r1 <= 0.0:
         raise ValueError("rate is zero at this operating point; Eb/N0 undefined")
     n0 = 2.0 * sigma2
     return (rho_z(w, n0) + rho_x(w, n0)) / r1
 
 
-def ebn0_2d(w: WeightPair, wp: WeightPair, sigma2: float,
-            rel_tol: float = DEFAULT_REL_TOL) -> float:
+def ebn0_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
     """Energy-per-bit over N0 for the two-dimensional scheme.
 
     Sums both axes' SNR terms over the doubled rate; equals ebn0_1d exactly
     when both axes use the same weights.
     """
-    r2 = rate_2d(w, wp, sigma2, rel_tol)
+    r2 = rate_2d(w, wp, sigma2)
     if r2 <= 0.0:
         raise ValueError("rate is zero at this operating point; Eb/N0 undefined")
     n0 = 2.0 * sigma2
@@ -298,15 +282,6 @@ def to_db(ratio: float) -> float:
     if not ratio > 0.0:
         raise ValueError(f"dB conversion requires a positive ratio, got {ratio!r}")
     return 10.0 * math.log10(ratio)
-
-
-def rate_derivative_at_zero(rate_fn: Callable[[float], float],
-                            rho: float = DERIVATIVE_RHO,
-                            step: float = DERIVATIVE_STEP) -> float:
-    """Central finite-difference slope of a rate-vs-SNR curve near zero."""
-    if not 0.0 < step < rho:
-        raise ValueError(f"need 0 < step < rho, got rho={rho}, step={step}")
-    return (rate_fn(rho + step) - rate_fn(rho - step)) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -330,19 +305,18 @@ class OperatingPoint:
     exact_mi: float | None = None
 
 
-def operating_point(rho: float, sigma2: float, rel_tol: float = DEFAULT_REL_TOL,
-                    ratio: float | None = None) -> OperatingPoint:
+def operating_point(rho: float, sigma2: float, ratio: float | None = None) -> OperatingPoint:
     """Evaluate the baselines at received SNR rho and, given an alpha/beta
     ratio, the layered scheme at the same average power as conventional BPSK,
     ``weights_from_ratio(ratio, 2 * sigma2 * rho)``."""
     layered = {}
     if ratio is not None:
         w = weights_from_ratio(ratio, 2.0 * sigma2 * rho)
-        r_z = rate_z(w, sigma2, rel_tol)
-        r_x = rate_x(w, sigma2, rel_tol)
+        r_z = rate_z(w, sigma2)
+        r_x = rate_x(w, sigma2)
         r_1 = r_z + r_x
-        layered = dict(ebn0_db=to_db(ebn0_1d(w, sigma2, rel_tol)), r_z=r_z, r_x=r_x,
-                       r_1=r_1, r_2=r_1 + r_1, exact_mi=exact_mi_1d(w, sigma2, rel_tol))
-    return OperatingPoint(snr_linear=rho, r_bpsk=bpsk_rate_at_snr(rho, sigma2, rel_tol),
-                          qpsk_rate=qpsk_rate_at_snr(rho, sigma2, rel_tol),
+        layered = dict(ebn0_db=to_db(ebn0_1d(w, sigma2)), r_z=r_z, r_x=r_x,
+                       r_1=r_1, r_2=r_1 + r_1, exact_mi=exact_mi_1d(w, sigma2))
+    return OperatingPoint(snr_linear=rho, r_bpsk=bpsk_rate_at_snr(rho, sigma2),
+                          qpsk_rate=qpsk_rate_at_snr(rho, sigma2),
                           capacity=shannon_capacity(rho), **layered)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import layered_bpsk
-from layered_bpsk.cli import MAX_GRID_POINTS, SweepSpec, main
+from layered_bpsk.cli import _NUMERIC_FLAGS, MAX_GRID_POINTS, SweepSpec, main
+from layered_bpsk.montecarlo import MAX_SYMBOLS
 from layered_bpsk.rates import LOG2_E
 
 
@@ -198,9 +200,10 @@ class TestBer:
         assert first == second
 
     def test_small_symbol_count_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["ber", "--symbols", "100"])
-        assert excinfo.value.code == 2
+        code, out, err = _run(capsys, "ber", "--symbols", "100")
+        assert code == 1 and out == ""
+        assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
+        assert "symbols" in err
 
 
 def test_module_entry_point_matches_in_process_output(capsys):
@@ -269,6 +272,11 @@ class TestFailureModes:
         (("appendix", "--min-db", "-4e3", "--max-db", "0"), "--min-db"),
         (("rate-sweep", "--sigma2", "-1e0"), "--sigma2"),
         (("capacity-gap", "--ratio", "-2E0"), "--ratio"),
+        # An empty grid runs no simulation, so these fail before any work.
+        (("ber", "--symbols", str(MAX_SYMBOLS + 1), "--min-db", "0", "--max-db", "0"),
+         "symbols"),
+        (("ber", "--workers", "0", "--min-db", "0", "--max-db", "0"), "workers"),
+        (("ber", "--seed", str(2**64), "--min-db", "0", "--max-db", "0"), "seed"),
     ])
     def test_out_of_range_input_is_one_line_error(self, capsys, argv, flag):
         code, out, err = _run(capsys, *argv)
@@ -291,8 +299,18 @@ class TestFailureModes:
 
         def spec(points):
             return SweepSpec(axis="snr_db", min_db=0.0, max_db=points * step, step_db=step,
-                             ratios=(2.0,), sigma2=1.0, rel_tol=1e-9, out="-")
+                             ratios=(2.0,), sigma2=1.0, out="-")
 
         assert len(spec(MAX_GRID_POINTS).grid_db()) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="grid"):
             spec(MAX_GRID_POINTS + 1)
+
+
+def test_numeric_flags_are_options_of_the_parser(capsys):
+    listed = ""
+    for command in ("rate-sweep", "capacity-gap", "appendix", "ber"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed += capsys.readouterr().out
+    for flag in sorted(_NUMERIC_FLAGS):
+        assert re.search(rf"(^|\s){re.escape(flag)}\s", listed), flag

@@ -10,11 +10,8 @@ from layered_bpsk.modem import (
     demod_1d,
     demod_2d,
     demod_bpsk,
-    demod_qpsk,
     encode_1d,
     encode_2d,
-    encode_bpsk,
-    encode_qpsk,
 )
 
 W21 = WeightPair(2.0, 1.0)
@@ -132,19 +129,9 @@ class TestModem2D:
 
 class TestBaselines:
     def test_bpsk_mapping(self):
-        assert encode_bpsk(Bit.PLUS, 1.5) == 1.5
-        assert encode_bpsk(Bit.MINUS, 1.5) == -1.5
         assert demod_bpsk(-0.3) is Bit.MINUS
         assert demod_bpsk(0.3) is Bit.PLUS
 
     def test_bpsk_rejects_non_finite(self):
         with pytest.raises(ValueError):
             demod_bpsk(math.nan)
-
-    def test_qpsk_round_trip(self):
-        for x, xp in itertools.product(BITS, repeat=2):
-            assert demod_qpsk(encode_qpsk(x, xp, 0.7)) == (x, xp)
-
-    def test_qpsk_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            demod_qpsk(complex(math.inf, 0.0))

@@ -8,10 +8,11 @@ from scipy import special
 
 from layered_bpsk.channel import NoiseStream
 from layered_bpsk.core import Bit, NoiseSpec, WeightPair
-from layered_bpsk.modem import demod_1d, demod_bpsk, encode_1d, encode_2d
+from layered_bpsk.modem import demod_1d, demod_bpsk, encode_1d
 from layered_bpsk.montecarlo import (
     DECISION_FEEDBACK,
     GENIE_AIDED,
+    MAX_SYMBOLS,
     SimConfig,
     _decide,
     _draw_axis,
@@ -19,7 +20,6 @@ from layered_bpsk.montecarlo import (
     ber_predictions_1d,
     empirical_entropy,
     qfunc,
-    sample_frames,
     simulate_1d,
     simulate_2d,
 )
@@ -60,6 +60,11 @@ class TestConfigValidation:
     def test_minimum_symbols(self):
         with pytest.raises(ValueError, match="n_symbols"):
             _cfg(n_symbols=9_999)
+
+    def test_symbol_cap_is_inclusive(self):
+        assert _cfg(n_symbols=MAX_SYMBOLS).n_symbols == MAX_SYMBOLS
+        with pytest.raises(ValueError, match="n_symbols"):
+            _cfg(n_symbols=MAX_SYMBOLS + 1)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -244,29 +249,6 @@ class TestEmpiricalEntropy:
     def test_amplitude_validation(self):
         with pytest.raises(ValueError):
             empirical_entropy(_cfg(n_symbols=10_000), amplitude=-1.0)
-
-
-class TestSampleFrames:
-    def test_1d_frames_carry_valid_amplitudes(self):
-        frames = sample_frames(W21, SPEC1, seed=11, n_frames=200)
-        allowed = {2.0, -2.0, 0.5, -0.5}
-        for frame in frames:
-            assert frame.tx_amplitude in allowed
-            assert math.copysign(1, frame.tx_amplitude) == float(frame.z)
-            assert frame.x_prime is None
-
-    def test_2d_frames_match_scalar_encoder(self):
-        wp = WeightPair(1.5, 0.6)
-        frames = sample_frames(W21, SPEC1, seed=12, n_frames=100, wp=wp)
-        for frame in frames:
-            expected = encode_2d(frame.x, frame.z, frame.x_prime, frame.z_prime,
-                                 W21, wp)
-            assert frame.tx_amplitude == expected
-
-    def test_frames_reproducible(self):
-        a = sample_frames(W21, SPEC1, seed=13, n_frames=50)
-        b = sample_frames(W21, SPEC1, seed=13, n_frames=50)
-        assert a == b
 
 
 def test_noise_stream_partition_is_symbol_count_only():
