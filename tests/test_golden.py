@@ -40,3 +40,47 @@ def test_cli_output_digest(case, tmp_path):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Library simulator pin: every error count and every entropy float of these
+# calls, hashed.  Three chunks of 2**17 symbols each (the last one partial),
+# so the 3-worker runs really run chunks in parallel.
+SIM_SYMBOLS = 270_000
+SIM_AMPLITUDE = 1.25
+SIM_POINTS = ((2.0, 2.0, 1.0), (4.0, 1.0, 0.5))  # (ratio, power, sigma2)
+SIM_DIGEST = "ea8cfc2f7e013f5192eb3c3106925d1490bb7640a19fa71dd56f69295fb1c23b"
+
+
+def _sim_lines():
+    from layered_bpsk.core import NoiseSpec, weights_from_ratio
+    from layered_bpsk.montecarlo import (DECISION_FEEDBACK, GENIE_AIDED, SimConfig,
+                                         empirical_entropy, simulate_1d, simulate_2d)
+
+    def floats(*values):
+        return " ".join("None" if v is None else float.hex(v) for v in values)
+
+    def counts(report):
+        axes = ((report.errors_z, report.errors_x),
+                (report.errors_z_prime, report.errors_x_prime))
+        return " ".join(f"{z},{x}" for z, x in axes if z is not None)
+
+    for ratio, power, sigma2 in SIM_POINTS:
+        w = weights_from_ratio(ratio, power)
+        wp = weights_from_ratio(ratio + 1.0, power)
+        for mode in (DECISION_FEEDBACK, GENIE_AIDED):
+            for workers in (1, 3):
+                cfg = SimConfig(n_symbols=SIM_SYMBOLS, w=w, spec=NoiseSpec(sigma2),
+                                seed=20260418, mode=mode, wp=wp, workers=workers)
+                for name, report in (("1d", simulate_1d(cfg)),
+                                     ("1d-lean", simulate_1d(cfg, entropy=False)),
+                                     ("2d", simulate_2d(cfg))):
+                    yield (f"{name} {counts(report)} "
+                           f"{floats(report.empirical_entropy, report.entropy_std_error)}")
+                for amplitude in (None, SIM_AMPLITUDE):
+                    est = empirical_entropy(cfg, amplitude)
+                    yield f"entropy {amplitude} {floats(est.bits, est.std_error)}"
+
+
+def test_library_simulator_digest():
+    text = "\n".join(_sim_lines()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SIM_DIGEST
