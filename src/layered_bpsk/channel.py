@@ -1,4 +1,4 @@
-"""Seeded AWGN generation for real and complex transmissions.
+"""Seeded real AWGN generation.
 
 Samples come from numpy's PCG64 generator (ziggurat normal sampling), seeded
 with the pair ``(seed, stream_id)``.  Identical pairs reproduce bit-identical
@@ -6,10 +6,10 @@ sequences across runs and machines with the same numpy, and distinct
 ``stream_id`` values give statistically independent substreams, which is how
 parallel workers keep results independent of the worker count.
 
-Noise variance is ``NoiseSpec.sigma2`` per real dimension; a complex sample
-receives independent real and imaginary components of that variance each
-(total complex noise power ``2 * sigma2``).  The real part of a complex draw
-is always generated before the imaginary part.
+Noise variance is ``NoiseSpec.sigma2`` per real dimension.  A complex
+channel is two real ones: consecutive draws from one stream give its real
+axis and then its imaginary axis, each of variance ``sigma2`` (total complex
+noise power ``2 * sigma2``).
 """
 
 from __future__ import annotations
@@ -40,23 +40,7 @@ class NoiseStream:
         return f"NoiseStream(seed={self.seed}, stream_id={self.stream_id}, spec={self.spec})"
 
 
-def awgn_real(tx, stream: NoiseStream):
-    """Add N(0, sigma2) noise to a real scalar or array; advances the stream."""
-    sigma = math.sqrt(stream.spec.sigma2)
-    if np.isscalar(tx):
-        return float(tx) + stream.generator.normal(0.0, sigma)
+def awgn_real(tx, stream: NoiseStream) -> np.ndarray:
+    """Add N(0, sigma2) noise to a real array; advances the stream."""
     tx = np.asarray(tx, dtype=float)
-    return tx + stream.generator.normal(0.0, sigma, size=tx.shape)
-
-
-def awgn_complex(tx, stream: NoiseStream):
-    """Add independent per-axis N(0, sigma2) noise to a complex scalar or array."""
-    sigma = math.sqrt(stream.spec.sigma2)
-    if np.isscalar(tx):
-        n_re = stream.generator.normal(0.0, sigma)
-        n_im = stream.generator.normal(0.0, sigma)
-        return complex(tx) + complex(n_re, n_im)
-    tx = np.asarray(tx, dtype=complex)
-    n_re = stream.generator.normal(0.0, sigma, size=tx.shape)
-    n_im = stream.generator.normal(0.0, sigma, size=tx.shape)
-    return tx + n_re + 1j * n_im
+    return tx + stream.generator.normal(0.0, math.sqrt(stream.spec.sigma2), size=tx.shape)

@@ -24,6 +24,7 @@ from .montecarlo import (
     DECISION_FEEDBACK,
     GENIE_AIDED,
     MAX_SYMBOLS,
+    MAX_WORKERS,
     MIN_SYMBOLS,
     SimConfig,
     ber_predictions_1d,
@@ -209,10 +210,11 @@ def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
     for snr_db in sweep.grid_db():
         w = weights_from_ratio(ratio, 2.0 * sweep.sigma2 * _rho(snr_db))
         report = simulate_1d(replace(base, w=w), entropy=False)
+        ber_z, ber_x = report.ber(0)
         pred_z, pred_x = ber_predictions_1d(w, spec, args.mode)
-        rows.append([_fmt(snr_db), args.mode, _fmt(report.ber_z), _fmt(report.ber_x),
+        rows.append([_fmt(snr_db), args.mode, _fmt(ber_z), _fmt(ber_x),
                      _fmt(pred_z), _fmt(pred_x),
-                     _fmt(max(report.ci_z, report.ci_x)), str(args.seed)])
+                     _fmt(max(report.ci(0))), str(args.seed)])
     return _BER_HEADER, rows
 
 
@@ -281,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default=DECISION_FEEDBACK,
                      help="second-stage feedback: demodulated or true bits")
     ber.add_argument("--workers", type=int, default=1,
-                     help="parallel workers; output is identical for any value")
+                     help=f"parallel workers, 1 to {MAX_WORKERS}; output is identical "
+                          "for any value")
     return parser
 
 

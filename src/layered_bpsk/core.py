@@ -128,34 +128,33 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Monte Carlo outcome; prime fields are filled by 2-D simulations only.
+    """Monte Carlo outcome of ``n_symbols`` symbols per axis.
 
-    ``ci_*`` are the 3-sigma binomial confidence radii of the matching BER
-    estimates.  ``empirical_entropy`` is the plug-in estimate of the received
-    signal entropy in bits with its standard error; both are None when the
-    simulation skipped the estimate.
+    ``errors`` holds one (z errors, x errors) pair per simulated axis, the
+    real axis first.  The bit error rates and their 3-sigma binomial
+    confidence radii are derived from the counts.  ``empirical_entropy`` is
+    the plug-in estimate of the received signal entropy in bits with its
+    standard error; both are None when the simulation skipped the estimate.
     """
 
     n_symbols: int
     seed: int
     mode: str
-    errors_z: int
-    errors_x: int
-    ber_z: float
-    ber_x: float
-    ci_z: float
-    ci_x: float
+    errors: tuple[tuple[int, int], ...]
     empirical_entropy: float | None
     entropy_std_error: float | None
-    errors_z_prime: int | None = None
-    errors_x_prime: int | None = None
-    ber_z_prime: float | None = None
-    ber_x_prime: float | None = None
-    ci_z_prime: float | None = None
-    ci_x_prime: float | None = None
 
     def __post_init__(self):
-        for name in ("ber_z", "ber_x", "ber_z_prime", "ber_x_prime"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of [0, 1]: {value}")
+        for axis, pair in enumerate(self.errors):
+            if not all(0 <= count <= self.n_symbols for count in pair):
+                raise ValueError(f"error counts of axis {axis} out of "
+                                 f"[0, {self.n_symbols}]: {pair}")
+
+    def ber(self, axis: int) -> tuple[float, float]:
+        """(ber_z, ber_x) of one axis."""
+        return tuple(count / self.n_symbols for count in self.errors[axis])
+
+    def ci(self, axis: int) -> tuple[float, float]:
+        """3-sigma binomial confidence radii of ``ber(axis)``."""
+        n = self.n_symbols
+        return tuple(3.0 * math.sqrt(p * (1.0 - p) / n) for p in self.ber(axis))

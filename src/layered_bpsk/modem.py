@@ -1,4 +1,4 @@
-"""Bit-level encoders and hard-decision demodulators.
+"""The layered mapping and its two-stage receiver, stated once.
 
 The layered scheme transmits one of four equiprobable amplitudes per
 dimension, as listed by the table ``WeightPair.points`` in
@@ -6,7 +6,13 @@ dimension, as listed by the table ``WeightPair.points`` in
 sample, then subtracts ``z_hat * beta`` and decides x from the sign of the
 residual.  With a correct z decision the residual amplitude is either
 ``alpha - beta`` or ``beta / 2``, which is what makes the second stream
-demodulable without inter-stream interference.
+demodulable without inter-stream interference.  The two-dimensional scheme
+runs the same construction on each axis.
+
+:func:`encode` (the table lookup) and :func:`decide` (the receiver) work on
+arrays of 0/1 bits, 1 standing for +1; the simulator calls them per chunk.
+The scalar functions on :class:`~layered_bpsk.core.Bit` values are thin
+calls of those two.
 
 Sign decisions at exactly zero resolve to +1: the event has measure zero
 under AWGN and a deterministic rule keeps every path reproducible.
@@ -14,9 +20,10 @@ under AWGN and a deterministic rule keeps every path reproducible.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Bit, WeightPair
 
@@ -34,27 +41,50 @@ class Demod2DResult:
     z_hat_prime: Bit
     x_hat: Bit
     x_hat_prime: Bit
-    x_tilde_prime: complex
 
 
-def _sign_bit(value: float) -> Bit:
-    return Bit.PLUS if value >= 0.0 else Bit.MINUS
+def encode(x01, z01, w: WeightPair):
+    """Amplitudes of ``w.points`` looked up at index 2*x01 + z01."""
+    table = np.empty(4)
+    for x, z, amplitude in w.points:
+        table[(x + 1) + (z + 1) // 2] = amplitude
+    return table.take(2 * x01 + z01)
+
+
+def decide(y, beta: float, feedback=None):
+    """Boolean (z_hat, x_hat) decisions, True for +1.
+
+    z_hat = sign(y) and x_hat = sign(y - fb*beta), ties deciding +1, where fb
+    is z_hat or, in genie-aided mode, the true z passed as ``feedback``.  For
+    finite floats y - beta >= 0 exactly when y >= beta, so x_hat is +1
+    exactly when y >= beta, or when y >= -beta and fb is -1.
+    """
+    z_hat = y >= 0.0
+    fb = z_hat if feedback is None else feedback
+    return z_hat, (y >= beta) | ((y >= -beta) & ~fb)
+
+
+def _bit(flag) -> Bit:
+    return Bit.PLUS if flag else Bit.MINUS
+
+
+def _sample(y: float) -> np.float64:
+    if not math.isfinite(y):
+        raise ValueError(f"received sample must be finite, got {y!r}")
+    return np.float64(y)
 
 
 def encode_1d(x: Bit, z: Bit, w: WeightPair) -> float:
     """Map a bit pair to its layered amplitude: alpha*x when the bits agree,
     (beta/2)*z when they differ."""
     x, z = Bit(x), Bit(z)
-    return next(a for px, pz, a in w.points if (px, pz) == (x, z))
+    return float(encode((x + 1) // 2, (z + 1) // 2, w))
 
 
 def demod_1d(y: float, w: WeightPair) -> Demod1DResult:
     """Two-stage hard demodulation of a real received sample."""
-    if not math.isfinite(y):
-        raise ValueError(f"received sample must be finite, got {y!r}")
-    z_hat = _sign_bit(y)
-    x_tilde = y - float(z_hat) * w.beta
-    return Demod1DResult(z_hat=z_hat, x_hat=_sign_bit(x_tilde), x_tilde=x_tilde)
+    z_hat, x_hat = map(_bit, decide(_sample(y), w.beta))
+    return Demod1DResult(z_hat=z_hat, x_hat=x_hat, x_tilde=y - float(z_hat) * w.beta)
 
 
 def encode_2d(x: Bit, z: Bit, xp: Bit, zp: Bit, w: WeightPair, wp: WeightPair) -> complex:
@@ -68,22 +98,12 @@ def encode_2d(x: Bit, z: Bit, xp: Bit, zp: Bit, w: WeightPair, wp: WeightPair) -
 def demod_2d(y_prime: complex, w: WeightPair, wp: WeightPair) -> Demod2DResult:
     """Per-axis two-stage demodulation of a complex received sample."""
     y_prime = complex(y_prime)
-    if not cmath.isfinite(y_prime):
-        raise ValueError(f"received sample must be finite, got {y_prime!r}")
-    z_hat = _sign_bit(y_prime.real)
-    z_hat_prime = _sign_bit(y_prime.imag)
-    x_tilde_prime = y_prime - complex(float(z_hat) * w.beta, float(z_hat_prime) * wp.beta)
-    return Demod2DResult(
-        z_hat=z_hat,
-        z_hat_prime=z_hat_prime,
-        x_hat=_sign_bit(x_tilde_prime.real),
-        x_hat_prime=_sign_bit(x_tilde_prime.imag),
-        x_tilde_prime=x_tilde_prime,
-    )
+    re, im = demod_1d(y_prime.real, w), demod_1d(y_prime.imag, wp)
+    return Demod2DResult(z_hat=re.z_hat, z_hat_prime=im.z_hat,
+                         x_hat=re.x_hat, x_hat_prime=im.x_hat)
 
 
 def demod_bpsk(y: float) -> Bit:
-    if not math.isfinite(y):
-        raise ValueError(f"received sample must be finite, got {y!r}")
-    return _sign_bit(y)
-
+    """Sign decision of plain BPSK, the receiver's first stage."""
+    z_hat, _ = decide(_sample(y), 0.0)  # beta plays no part in z_hat
+    return _bit(z_hat)

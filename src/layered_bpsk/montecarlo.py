@@ -6,16 +6,16 @@ reduced in chunk order.  Because the partition depends only on ``n_symbols``,
 reports are bit-identical for any worker count.  The ``workers`` field merely
 parallelizes chunk execution.
 
-Each chunk draws its bits as two ``integers(0, 2, dtype=int64)`` arrays, x
-then z (then x' and z' in 2-D), and then the noise through
-:func:`layered_bpsk.channel.awgn_real` or ``awgn_complex``.  That order and
+One kernel simulates one or two axes.  Each chunk draws every axis's bits as
+two ``integers(0, 2, dtype=int64)`` arrays, x then z, axis after axis (real
+axis first), and then every axis's noise through
+:func:`layered_bpsk.channel.awgn_real` in the same order.  That order and
 dtype fix the random stream, and with it every CSV byte ``ber`` prints.  The
-0/1 draws index a 4-entry amplitude table built from ``WeightPair.points``,
-the table the scalar encoder in :mod:`layered_bpsk.modem` reads, and the two
-decisions are boolean compares equal to modem's sign rule, ties deciding +1;
-the test suite pins both against the scalar modem.  The plug-in entropy costs
-more per symbol than the rest of the kernel bar the noise, so
-``simulate_1d(cfg, entropy=False)`` skips it; the ``ber`` command does.
+mapping and the receiver are :func:`layered_bpsk.modem.encode` and
+:func:`layered_bpsk.modem.decide`, the same functions behind the scalar
+modem.  The plug-in entropy costs more per symbol than the rest of the kernel
+bar the noise, so ``simulate_1d(cfg, entropy=False)`` skips it; the ``ber``
+command does.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseStream, awgn_complex, awgn_real
+from .channel import NoiseStream, awgn_real
 from .core import NoiseSpec, SimReport, WeightPair
+from .modem import decide, encode
 from .rates import layered_pdf, mixture_pdf
 
 DECISION_FEEDBACK = "decision-feedback"
@@ -38,6 +39,10 @@ MIN_SYMBOLS = 10_000
 # Largest symbol count of one run, about a minute of one worker's time at
 # roughly 55 ns per symbol; a larger count is far more likely a typo.
 MAX_SYMBOLS = 10**9
+# Largest worker count.  Each running worker thread holds one chunk's arrays,
+# a few MB, and threads beyond the host's cores only wait their turn; a
+# larger count is far more likely a typo.
+MAX_WORKERS = 64
 _CHUNK = 1 << 17
 
 
@@ -61,8 +66,9 @@ class SimConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
+        if not isinstance(self.workers, int) or not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be an integer in [1, {MAX_WORKERS}], "
+                             f"got {self.workers!r}")
 
 
 def qfunc(t: float) -> float:
@@ -140,36 +146,6 @@ def _draw_axis(generator, n: int) -> tuple[np.ndarray, np.ndarray]:
             generator.integers(0, 2, size=n, dtype=np.int64))
 
 
-def _encode(x01: np.ndarray, z01: np.ndarray, w: WeightPair) -> np.ndarray:
-    """Amplitudes of ``w.points`` looked up at index 2*x01 + z01."""
-    table = np.empty(4)
-    for x, z, amplitude in w.points:
-        table[(x + 1) + (z + 1) // 2] = amplitude
-    return table.take(2 * x01 + z01)
-
-
-def _decide(y: np.ndarray, beta: float,
-            feedback: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (z_hat, x_hat) decisions, True for +1, by modem's rule.
-
-    z_hat = sign(y) and x_hat = sign(y - fb*beta), ties deciding +1, where fb
-    is z_hat or, in genie-aided mode, the true z passed as ``feedback``.  For
-    finite floats y - beta >= 0 exactly when y >= beta, so x_hat is +1
-    exactly when y >= beta, or when y >= -beta and fb is -1.
-    """
-    z_hat = y >= 0.0
-    fb = z_hat if feedback is None else feedback
-    return z_hat, (y >= beta) | ((y >= -beta) & ~fb)
-
-
-def _axis_errors(y: np.ndarray, x01: np.ndarray, z01: np.ndarray,
-                 w: WeightPair, genie: bool) -> tuple[int, int]:
-    z = z01.astype(bool)
-    z_hat, x_hat = _decide(y, w.beta, z if genie else None)
-    return (int(np.count_nonzero(z_hat != z)),
-            int(np.count_nonzero(x_hat != x01.astype(bool))))
-
-
 def _entropy_sums(neg_log2_p: np.ndarray) -> tuple[float, float]:
     return float(neg_log2_p.sum()), float((neg_log2_p * neg_log2_p).sum())
 
@@ -180,77 +156,59 @@ def _entropy_stats(ent_sum: float, ent_sumsq: float, n: int) -> tuple[float, flo
     return mean, math.sqrt(variance / n)
 
 
-def _binomial_ci(errors: int, n: int) -> float:
-    p = errors / n
-    return 3.0 * math.sqrt(p * (1.0 - p) / n)
+def _simulate(cfg: SimConfig, weights: tuple[WeightPair, ...], entropy: bool) -> SimReport:
+    """The layered scheme on one axis per entry of ``weights``.
 
+    Counts z and x errors separately against the transmitted bits; in
+    genie-aided mode the second stage subtracts the true z instead of the
+    decision, isolating error propagation.
+    """
+    sigma2 = cfg.spec.sigma2
+    genie = cfg.mode == GENIE_AIDED
 
-def _axis_fields(err_z: int, err_x: int, n: int, suffix: str = "") -> dict:
-    return {f"errors_z{suffix}": err_z, f"errors_x{suffix}": err_x,
-            f"ber_z{suffix}": err_z / n, f"ber_x{suffix}": err_x / n,
-            f"ci_z{suffix}": _binomial_ci(err_z, n), f"ci_x{suffix}": _binomial_ci(err_x, n)}
+    def chunk(stream_id: int, size: int):
+        stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
+        bits = [_draw_axis(stream.generator, size) for _ in weights]
+        ys = [awgn_real(encode(x01, z01, w), stream) for (x01, z01), w in zip(bits, weights)]
+        counts = ()
+        for y, (x01, z01), w in zip(ys, bits, weights):
+            z = z01.astype(bool)
+            z_hat, x_hat = decide(y, w.beta, z if genie else None)
+            counts += (int(np.count_nonzero(z_hat != z)),
+                       int(np.count_nonzero(x_hat != x01.astype(bool))))
+        if not entropy:
+            return counts
+        neg_log2_p = 0.0
+        for y, w in zip(ys, weights):
+            neg_log2_p = neg_log2_p - np.log2(layered_pdf(y, w, sigma2))
+        return counts + _entropy_sums(neg_log2_p)
 
-
-def _report(cfg: SimConfig, errors: list, ent_sums: list) -> SimReport:
-    """SimReport from per-axis (err_z, err_x) counts and, if computed, the
-    two entropy sums."""
-    n = cfg.n_symbols
-    fields = _axis_fields(errors[0], errors[1], n)
-    if len(errors) == 4:
-        fields.update(_axis_fields(errors[2], errors[3], n, "_prime"))
-    entropy, entropy_se = _entropy_stats(*ent_sums, n) if ent_sums else (None, None)
-    return SimReport(n_symbols=n, seed=cfg.seed, mode=cfg.mode, empirical_entropy=entropy,
-                     entropy_std_error=entropy_se, **fields)
+    sums = _run_chunks(cfg, chunk)
+    n, axes = cfg.n_symbols, len(weights)
+    stats = _entropy_stats(*sums[2 * axes:], n) if entropy else (None, None)
+    return SimReport(n_symbols=n, seed=cfg.seed, mode=cfg.mode,
+                     errors=tuple(zip(sums[:2 * axes:2], sums[1:2 * axes:2])),
+                     empirical_entropy=stats[0], entropy_std_error=stats[1])
 
 
 def simulate_1d(cfg: SimConfig, entropy: bool = True) -> SimReport:
     """Simulate the one-dimensional layered scheme end to end.
 
-    Counts z and x errors separately against the transmitted bits; in
-    genie-aided mode the second stage subtracts the true z instead of the
-    decision, isolating error propagation.  With ``entropy=False`` the
-    plug-in entropy is skipped and its report fields are None; the error
-    counts are the same either way.
+    With ``entropy=False`` the plug-in entropy is skipped and its report
+    fields are None; the error counts are the same either way.
     """
-    w, sigma2 = cfg.w, cfg.spec.sigma2
-    genie = cfg.mode == GENIE_AIDED
-
-    def chunk(stream_id: int, size: int):
-        stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
-        x01, z01 = _draw_axis(stream.generator, size)
-        y = awgn_real(_encode(x01, z01, w), stream)
-        counts = _axis_errors(y, x01, z01, w, genie)
-        if not entropy:
-            return counts
-        return counts + _entropy_sums(-np.log2(layered_pdf(y, w, sigma2)))
-
-    sums = _run_chunks(cfg, chunk)
-    return _report(cfg, sums[:2], sums[2:])
+    return _simulate(cfg, (cfg.w,), entropy)
 
 
 def simulate_2d(cfg: SimConfig) -> SimReport:
     """Simulate the two-dimensional layered scheme; requires cfg.wp.
 
-    Per-chunk draw order: x, z, x', z' bits, then the complex noise.
+    Axis 0 of the report is the real axis (weights ``cfg.w``), axis 1 the
+    imaginary axis (``cfg.wp``).
     """
     if cfg.wp is None:
         raise ValueError("simulate_2d requires cfg.wp for the imaginary axis")
-    w, wp, sigma2 = cfg.w, cfg.wp, cfg.spec.sigma2
-    genie = cfg.mode == GENIE_AIDED
-
-    def chunk(stream_id: int, size: int):
-        stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
-        x01, z01 = _draw_axis(stream.generator, size)
-        xp01, zp01 = _draw_axis(stream.generator, size)
-        y = awgn_complex(_encode(x01, z01, w) + 1j * _encode(xp01, zp01, wp), stream)
-        neg_log2_p = -np.log2(layered_pdf(y.real, w, sigma2)) \
-            - np.log2(layered_pdf(y.imag, wp, sigma2))
-        return (_axis_errors(y.real, x01, z01, w, genie)
-                + _axis_errors(y.imag, xp01, zp01, wp, genie)
-                + _entropy_sums(neg_log2_p))
-
-    sums = _run_chunks(cfg, chunk)
-    return _report(cfg, sums[:4], sums[4:])
+    return _simulate(cfg, (cfg.w, cfg.wp), True)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ Two SNR normalizations coexist here and are kept explicit throughout:
   Under this standard normalization the capacity, BPSK and QPSK curves all
   leave the origin with slope log2(e), and conventional BPSK's rho/R ratio
   approaches ln 2 = -1.59 dB, the usual low-rate power limit.  The equivalent
-  per-stream SNRs ``rho_z`` / ``rho_x`` are plain power/sigma2 arithmetic in
-  whatever normalization the caller passes; ``ebn0_1d`` and ``ebn0_2d`` pass
+  per-stream SNRs, ``rho_bpsk`` for the first stream and ``rho_x`` for the
+  second, are plain power/sigma2 arithmetic in whatever normalization the
+  caller passes; ``ebn0_1d`` and ``ebn0_2d`` pass
   ``2 * sigma2`` so their first-order rate predictions line up with the
   integral rates.
 """
@@ -202,19 +203,15 @@ def rho_bpsk(w: WeightPair, sigma2: float) -> float:
     return w.average_power() / _check_sigma2(sigma2)
 
 
-def rho_z(w: WeightPair, sigma2: float) -> float:
-    """Equivalent SNR of the first stream; equals rho_bpsk by construction."""
-    return rho_bpsk(w, sigma2)
-
-
 def rho_x(w: WeightPair, sigma2: float) -> float:
     """Equivalent SNR of the second stream from its residual amplitudes."""
     return mean_power(w.residual_pair) / _check_sigma2(sigma2)
 
 
 def taylor_rate_1d(w: WeightPair, sigma2: float) -> float:
-    """First-order sum rate near zero SNR: (rho_z + rho_x) * log2(e)."""
-    return (rho_z(w, sigma2) + rho_x(w, sigma2)) * LOG2_E
+    """First-order sum rate near zero SNR: (rho_z + rho_x) * log2(e), where
+    the first stream's SNR rho_z is rho_bpsk."""
+    return (rho_bpsk(w, sigma2) + rho_x(w, sigma2)) * LOG2_E
 
 
 def rate_diff(w: WeightPair, sigma2: float) -> float:
@@ -260,7 +257,7 @@ def ebn0_1d(w: WeightPair, sigma2: float) -> float:
     if r1 <= 0.0:
         raise ValueError("rate is zero at this operating point; Eb/N0 undefined")
     n0 = 2.0 * sigma2
-    return (rho_z(w, n0) + rho_x(w, n0)) / r1
+    return (rho_bpsk(w, n0) + rho_x(w, n0)) / r1
 
 
 def ebn0_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
@@ -273,7 +270,7 @@ def ebn0_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
     if r2 <= 0.0:
         raise ValueError("rate is zero at this operating point; Eb/N0 undefined")
     n0 = 2.0 * sigma2
-    energy = (rho_z(w, n0) + rho_x(w, n0)) + (rho_z(wp, n0) + rho_x(wp, n0))
+    energy = (rho_bpsk(w, n0) + rho_x(w, n0)) + (rho_bpsk(wp, n0) + rho_x(wp, n0))
     return energy / r2
 
 

@@ -169,8 +169,9 @@ def test_criterion_7_monte_carlo_cross_validation():
     pred_z = 0.5 * qfunc(2.0) + 0.5 * qfunc(0.5)
     pred_x = 0.5 * qfunc(1.0) + 0.5 * qfunc(0.5)
     anchors_ok = (abs(pred_z - 0.16564) <= 1e-5 and abs(pred_x - 0.23360) <= 1e-5)
-    dev_z = abs(report.ber_z - pred_z) / math.sqrt(pred_z * (1 - pred_z) / n)
-    dev_x = abs(report.ber_x - pred_x) / math.sqrt(pred_x * (1 - pred_x) / n)
+    ber_z, ber_x = report.ber(0)
+    dev_z = abs(ber_z - pred_z) / math.sqrt(pred_z * (1 - pred_z) / n)
+    dev_x = abs(ber_x - pred_x) / math.sqrt(pred_x * (1 - pred_x) / n)
     ber_ok = dev_z <= 3.0 and dev_x <= 3.0
 
     elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ import pytest
 
 import layered_bpsk
 from layered_bpsk.cli import _NUMERIC_FLAGS, MAX_GRID_POINTS, SweepSpec, main
-from layered_bpsk.montecarlo import MAX_SYMBOLS
+from layered_bpsk.montecarlo import MAX_SYMBOLS, MAX_WORKERS
 from layered_bpsk.rates import LOG2_E
 
 
@@ -277,6 +277,8 @@ class TestFailureModes:
          "symbols"),
         (("ber", "--workers", "0", "--min-db", "0", "--max-db", "0"), "workers"),
         (("ber", "--seed", str(2**64), "--min-db", "0", "--max-db", "0"), "seed"),
+        (("ber", "--workers", str(MAX_WORKERS + 1), "--min-db", "0", "--max-db", "0"),
+         "workers"),
     ])
     def test_out_of_range_input_is_one_line_error(self, capsys, argv, flag):
         code, out, err = _run(capsys, *argv)

@@ -126,18 +126,20 @@ class TestNoiseSpec:
 class TestSimReport:
     def _kwargs(self, **overrides):
         base = dict(n_symbols=10_000, seed=1, mode="genie-aided",
-                    errors_z=10, errors_x=20, ber_z=0.001, ber_x=0.002,
-                    ci_z=0.0001, ci_x=0.0002,
-                    empirical_entropy=2.0, entropy_std_error=0.001)
+                    errors=((10, 20),), empirical_entropy=2.0, entropy_std_error=0.001)
         base.update(overrides)
         return base
 
     def test_valid_report(self):
-        report = SimReport(**self._kwargs())
-        assert report.ber_z_prime is None
+        report = SimReport(**self._kwargs(errors=((10, 20), (0, 10_000))))
+        assert report.ber(0) == (0.001, 0.002)
+        assert report.ber(1) == (0.0, 1.0)
+        assert report.ci(0) == (3.0 * math.sqrt(0.001 * 0.999 / 10_000),
+                                3.0 * math.sqrt(0.002 * 0.998 / 10_000))
+        assert report.ci(1) == (0.0, 0.0)
 
     def test_ber_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="ber_z"):
-            SimReport(**self._kwargs(ber_z=1.5))
-        with pytest.raises(ValueError, match="ber_x"):
-            SimReport(**self._kwargs(ber_x=-0.1))
+        with pytest.raises(ValueError, match="axis 0"):
+            SimReport(**self._kwargs(errors=((10_001, 0),)))
+        with pytest.raises(ValueError, match="axis 1"):
+            SimReport(**self._kwargs(errors=((0, 0), (0, -1))))

@@ -60,9 +60,7 @@ def _sim_lines():
         return " ".join("None" if v is None else float.hex(v) for v in values)
 
     def counts(report):
-        axes = ((report.errors_z, report.errors_x),
-                (report.errors_z_prime, report.errors_x_prime))
-        return " ".join(f"{z},{x}" for z, x in axes if z is not None)
+        return " ".join(f"{z},{x}" for z, x in report.errors)
 
     for ratio, power, sigma2 in SIM_POINTS:
         w = weights_from_ratio(ratio, power)

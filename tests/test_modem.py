@@ -2,11 +2,13 @@ import itertools
 import math
 
 import pytest
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from layered_bpsk.core import Bit, WeightPair
 from layered_bpsk.modem import (
+    decide,
     demod_1d,
     demod_2d,
     demod_bpsk,
@@ -92,6 +94,36 @@ class TestDemod1D:
         plus, minus = demod_1d(y, w), demod_1d(-y, w)
         assert plus.z_hat == -minus.z_hat
         assert plus.x_hat == -minus.x_hat
+
+
+class TestDecide:
+    # Samples at the thresholds 0, beta and -beta of W21 (beta = 1) and their
+    # float neighbours, with the expected z_hat and x_hat under decision
+    # feedback and x_hat under genie feedback of z = +1 and of z = -1.
+    # Ties decide +1.
+    #   y                              z_hat  x_hat  genie z=+1  genie z=-1
+    TIES = [
+        (math.nextafter(-1.0, -math.inf), -1,    -1,    -1,         -1),
+        (-1.0,                            -1,    +1,    -1,         +1),
+        (math.nextafter(-1.0, 0.0),       -1,    +1,    -1,         +1),
+        (math.nextafter(0.0, -1.0),       -1,    +1,    -1,         +1),
+        (0.0,                             +1,    -1,    -1,         +1),
+        (math.nextafter(0.0, 1.0),        +1,    -1,    -1,         +1),
+        (math.nextafter(1.0, 0.0),        +1,    -1,    -1,         +1),
+        (1.0,                             +1,    +1,    +1,         +1),
+        (math.nextafter(1.0, math.inf),   +1,    +1,    +1,         +1),
+    ]
+
+    def test_ties_and_neighbours_both_feedback_modes(self):
+        y = np.array([row[0] for row in self.TIES])
+        expected = [[flag > 0 for flag in column] for column in list(zip(*self.TIES))[1:]]
+        z_hat, x_hat = decide(y, W21.beta)
+        _, x_genie_plus = decide(y, W21.beta, np.ones(y.size, dtype=bool))
+        _, x_genie_minus = decide(y, W21.beta, np.zeros(y.size, dtype=bool))
+        assert [list(z_hat), list(x_hat), list(x_genie_plus), list(x_genie_minus)] == expected
+        for yk, z, x, _, _ in self.TIES:
+            result = demod_1d(yk, W21)
+            assert (result.z_hat, result.x_hat) == (z, x)
 
 
 class TestModem2D:

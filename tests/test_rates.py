@@ -27,7 +27,6 @@ from layered_bpsk.rates import (
     received_entropy_layered,
     rho_bpsk,
     rho_x,
-    rho_z,
     shannon_capacity,
     snr_to_amplitude,
     taylor_capacity,
@@ -249,7 +248,6 @@ class TestClosedForms:
     def test_rho_arithmetic(self):
         assert rho_bpsk(W21, 1.0) == 2.125
         assert rho_x(W21, 1.0) == 0.625
-        assert rho_z(W21, 1.0) == rho_bpsk(W21, 1.0)
 
     @given(w=weight_pairs(), sigma2=st.floats(min_value=1e-3, max_value=1e3))
     def test_rho_x_below_rho_bpsk(self, w, sigma2):
