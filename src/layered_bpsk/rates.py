@@ -16,9 +16,8 @@ Two SNR normalizations coexist here and are kept explicit throughout:
   approaches ln 2 = -1.59 dB, the usual low-rate power limit.  The equivalent
   per-stream SNRs, ``rho_bpsk`` for the first stream and ``rho_x`` for the
   second, are plain power/sigma2 arithmetic in whatever normalization the
-  caller passes; ``ebn0_1d`` and ``ebn0_2d`` pass
-  ``2 * sigma2`` so their first-order rate predictions line up with the
-  integral rates.
+  caller passes; ``ebn0_1d`` and ``ebn0_2d`` pass ``2 * sigma2`` so their
+  first-order rate predictions line up with the integral rates.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 import itertools
 import math
 
-import pytest
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
