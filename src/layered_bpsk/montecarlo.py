@@ -178,7 +178,7 @@ def _simulate(cfg: SimConfig, weights: tuple[WeightPair, ...], entropy: bool) ->
                        int(np.count_nonzero(x_hat != x01.astype(bool))))
         if not entropy:
             return counts
-        neg_log2_p = 0.0
+        neg_log2_p = 0.0  # -a - b, rounded as the digest in tests/test_golden.py pins
         for y, w in zip(ys, weights):
             neg_log2_p = neg_log2_p - np.log2(layered_pdf(y, w, sigma2))
         return counts + _entropy_sums(neg_log2_p)
