@@ -1,8 +1,10 @@
 """Independent reference implementations used to pin expected values.
 
-Everything here deliberately avoids the package's own quadrature engine:
-entropies come from brute-force trapezoid sums on a dense uniform grid, so a
-defect in the adaptive integrator cannot hide in both routes at once.
+Everything here deliberately avoids the package's own rate evaluator, a
+trapezoid rule in the normalized noise t at a pole-aware step: entropies
+come from brute-force trapezoid sums of p*log2(p) on a dense uniform grid in
+y, a different variable, formula and step, so a defect in the package's
+rule cannot hide in both routes at once.
 """
 
 import math

@@ -17,7 +17,6 @@ from layered_bpsk.modem import demod_1d, demod_2d, encode_1d, encode_2d
 from layered_bpsk.montecarlo import GENIE_AIDED, SimConfig, qfunc, simulate_1d
 from layered_bpsk.rates import (
     LOG2_E,
-    _bpsk_rate_cached,
     bpsk_rate,
     bpsk_rate_at_snr,
     ebn0_1d,
@@ -45,7 +44,6 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_bpsk_rate_anchor():
     """bpsk_rate(1, 1) agrees with the brute-force trapezoid oracle to 1e-6."""
-    _bpsk_rate_cached.cache_clear()
     start = time.perf_counter()
     oracle = trapezoid_bpsk_rate(1.0, 1.0)
     value = bpsk_rate(1.0, 1.0)
@@ -58,7 +56,6 @@ def test_criterion_1_bpsk_rate_anchor():
 
 def test_criterion_2_saturation():
     """rate_1d -> 2 and rate_2d -> 4 bits/sec/Hz once alpha/sigma >= 20."""
-    _bpsk_rate_cached.cache_clear()
     start = time.perf_counter()
     worst_1d = 0.0
     worst_2d = 0.0

@@ -76,3 +76,26 @@ def test_package_import_loads_every_traced_layer():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env=env)
     assert result.stdout.strip() == "True"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    return modules
+
+
+def test_oracles_stay_independent():
+    # A reference that shares code with what it checks cannot catch its
+    # defects: neither oracle module imports the package or the other one,
+    # and the package imports neither.
+    tests_oracles = Path(__file__).resolve().parent / "oracles.py"
+    for path in (tests_oracles, PERFBENCH / "oracles.py"):
+        imported = _imported_modules(path)
+        assert not any(m.split(".")[0] in ("layered_bpsk", "oracles", "perfbench", "tests")
+                       for m in imported), f"{path.name} imports {sorted(imported)}"
+    for path in Path(layered_bpsk.__file__).parent.glob("*.py"):
+        assert not any("oracles" in m.split(".") for m in _imported_modules(path)), path.name

@@ -18,13 +18,13 @@ BER_GRID = ("ber", "--min-db", "0", "--max-db", "3", "--step-db", "1",
 GOLDEN = {
     "rate-sweep": (
         ("rate-sweep",),
-        "1a9a37ed6802e63e4559384ff8572a1f2c751d442da7dd76cc6b837dc131819f"),
+        "922f1341e82b7a30b542449bf7504352daf78b47107a572530fb3db901ca7db8"),
     "capacity-gap": (
         ("capacity-gap",),
-        "8cb97ecde92f2d6637cf4a894631a6ccf60da9024d9e5b9c9c0d4c19d58d4e38"),
+        "fa0f38a8a4f1062a8b48f99d1831989d8d29cb3d68f7078e8d78c321e09d7a5f"),
     "appendix": (
         ("appendix",),
-        "fddf5afa57d77d42032ed91511e56f5b2218b9a3c65adf1a4b64aba2c125a4a0"),
+        "cdfbadfd8fec99056eac71d5e22d8232b265b0f354102a6f823f671b05891c04"),
     "ber-decision-feedback": (
         BER_GRID,
         "2f9576e36ff19872a007d0116531a7683233d1d2ce6a288b8926b356fb8ea73b"),

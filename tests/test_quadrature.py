@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from layered_bpsk.quadrature import ConvergenceError, IntegralSpec, integrate, plogp
+from layered_bpsk.quadrature import MAX_STEP, NODE_REACH, integrate, plogp
 
 
 def _normal_pdf(x, sigma2=1.0):
@@ -13,76 +14,83 @@ def _normal_pdf(x, sigma2=1.0):
 
 
 class TestIntegralSpec:
+    """The rule's settings: its node reach and its step."""
+
     def test_defaults(self):
-        spec = IntegralSpec(-1.0, 1.0)
-        assert spec.rel_tol == 1e-9
-        assert spec.max_depth == 48
+        assert (NODE_REACH, MAX_STEP) == (12.0, 0.2)
+        assert inspect.signature(integrate).parameters["step"].default == MAX_STEP
 
     @pytest.mark.parametrize("kwargs", [
-        dict(lower=1.0, upper=1.0),
-        dict(lower=2.0, upper=1.0),
-        dict(lower=-math.inf, upper=0.0),
-        dict(lower=0.0, upper=1.0, rel_tol=0.0),
-        dict(lower=0.0, upper=1.0, rel_tol=1.0),
-        dict(lower=0.0, upper=1.0, max_depth=0),
+        dict(step=0.0),
+        dict(step=-0.1),
+        dict(step=math.nextafter(MAX_STEP, 1.0)),
+        dict(step=1.0),
+        dict(step=math.nan),
+        dict(step=math.inf),
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            IntegralSpec(**kwargs)
+        with pytest.raises(ValueError, match="step"):
+            integrate(np.cos, **kwargs)
 
 
 class TestIntegrate:
-    def test_polynomial(self):
-        value = integrate(lambda x: x**2, IntegralSpec(0.0, 1.0))
-        assert math.isclose(value, 1.0 / 3.0, rel_tol=1e-9)
-
-    def test_sine(self):
-        value = integrate(np.sin, IntegralSpec(0.0, math.pi))
-        assert math.isclose(value, 2.0, rel_tol=1e-9)
+    """E[f(t)] for t ~ N(0, 1).  Entire integrands are exact to rounding at
+    every step up to MAX_STEP, so each moment holds to 1e-15."""
 
     def test_normal_density_normalizes(self):
-        spec = IntegralSpec(-12.0, 12.0, rel_tol=1e-12)
-        assert abs(integrate(_normal_pdf, spec) - 1.0) < 1e-10
+        assert abs(integrate(np.ones_like) - 1.0) <= 1e-15
+
+    def test_polynomial(self):
+        assert abs(integrate(lambda t: t**2) - 1.0) <= 1e-15
+        assert abs(integrate(lambda t: t**4) - 3.0) <= 1e-15
+
+    def test_sine(self):
+        assert abs(integrate(np.cos) - math.exp(-0.5)) <= 1e-15
+        assert abs(integrate(lambda t: np.sin(t + 1.0)) - math.sin(1.0) * math.exp(-0.5)) <= 1e-15
 
     def test_zero_mean_integrand(self):
-        # Net integral cancels; the scale floor must keep this convergeable.
-        value = integrate(np.sin, IntegralSpec(0.0, 2.0 * math.pi))
-        assert abs(value) < 1e-12
+        # Odd integrands cancel between the nodes t and -t.
+        assert abs(integrate(lambda t: t)) <= 1e-15
+        assert abs(integrate(np.sin)) <= 1e-15
 
     def test_deterministic(self):
-        spec = IntegralSpec(-8.0, 8.0)
-        f = lambda x: _normal_pdf(x) * np.cos(3.0 * x)
-        assert integrate(f, spec) == integrate(f, spec)
+        f = lambda t: _normal_pdf(t - 0.3, 0.5) * np.cos(3.0 * t)
+        first = integrate(f, 0.0123)
+        assert all(integrate(f, 0.0123) == first for _ in range(5))
 
     def test_halving_tolerance_self_consistency(self):
-        f = lambda x: _normal_pdf(x - 2.0, 0.04) + _normal_pdf(x + 2.0, 0.04)
-        for rel_tol in (1e-6, 1e-7, 1e-8):
-            coarse = integrate(f, IntegralSpec(-6.0, 6.0, rel_tol=rel_tol))
-            fine = integrate(f, IntegralSpec(-6.0, 6.0, rel_tol=rel_tol / 2.0))
-            assert abs(coarse - fine) <= rel_tol * abs(fine)
+        # A two-bump mixture density: halving the step moves nothing.
+        f = lambda t: _normal_pdf(t - 2.0, 0.04) + _normal_pdf(t + 2.0, 0.04)
+        for step in (0.04, 0.02):
+            assert abs(integrate(f, step) - integrate(f, step / 2.0)) <= 1e-15
 
     def test_narrow_spike_still_found(self):
-        # Width ~1e-3 bump inside [-1, 1]: visible to the pre-partition,
-        # then refinement must chase it down.
-        f = lambda x: np.exp(-(((x - 0.1234567) / 1e-3) ** 2))
-        value = integrate(f, IntegralSpec(-1.0, 1.0, rel_tol=1e-8))
-        assert math.isclose(value, 1e-3 * math.sqrt(math.pi), rel_tol=1e-7)
+        # A bump of width 1e-2 off the node grid, at a step a fifth of its
+        # width; E[exp(-(t - mu)**2 / (2 tau**2))] has a closed form.
+        mu, tau = 0.1234567, 1e-2
+        value = integrate(lambda t: np.exp(-0.5 * ((t - mu) / tau) ** 2), tau / 5.0)
+        exact = tau / math.sqrt(1.0 + tau**2) * math.exp(-0.5 * mu**2 / (1.0 + tau**2))
+        assert math.isclose(value, exact, rel_tol=1e-14)
 
-    def test_convergence_failure_is_reported(self):
-        # Square-root kink: finite everywhere but with unbounded curvature,
-        # so a tiny depth cap cannot meet a tiny tolerance.
-        f = lambda x: np.sqrt(np.abs(x - 0.1234567))
-        with pytest.raises(ConvergenceError):
-            integrate(f, IntegralSpec(-1.0, 1.0, rel_tol=1e-12, max_depth=3))
+    def test_integrand_sees_one_array_of_nodes(self):
+        seen = []
+
+        def f(t):
+            seen.append(t.copy())
+            return np.zeros_like(t)
+
+        integrate(f, 0.1)
+        (nodes,) = seen
+        assert np.array_equal(nodes, 0.1 * np.arange(-120, 121))
 
     def test_non_finite_integrand_rejected(self):
-        f = lambda x: np.where(np.abs(x) < 0.5, np.inf, 1.0)
+        f = lambda t: np.where(np.abs(t) < 0.5, np.inf, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            integrate(f, IntegralSpec(-1.0, 1.0))
+            integrate(f)
 
     def test_non_elementwise_integrand_rejected(self):
         with pytest.raises(ValueError, match="elementwise"):
-            integrate(lambda x: 1.0, IntegralSpec(0.0, 1.0))
+            integrate(lambda t: 1.0)
 
 
 class TestPlogP:

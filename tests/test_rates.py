@@ -16,6 +16,7 @@ from layered_bpsk.rates import (
     exact_mi_1d,
     gaussian_entropy,
     layered_pdf,
+    mixture_mi,
     mixture_pdf,
     operating_point,
     qpsk_rate_at_snr,
@@ -136,8 +137,8 @@ class TestBpskRate:
 
     @pytest.mark.parametrize("amplitude, sigma2", [(1.7, 0.5), (0.9, 2.3)])
     def test_against_quadpack(self, amplitude, sigma2):
-        # Third route, independent of both the adaptive Simpson engine and
-        # the trapezoid oracle.
+        # Third route, independent of both the package's trapezoid rule in
+        # the noise and the trapezoid oracle in y.
         from scipy.integrate import quad
 
         def integrand(y):
@@ -231,11 +232,89 @@ class TestExactMi:
         assert exact_mi_1d(w, sigma2) >= rate_z(w, sigma2) - 1e-9
 
 
+# The package evaluates every rate by a trapezoid rule in the normalized noise
+# t; tests/oracles.py integrates p log p by a dense trapezoid rule in y, a
+# different variable, formula and step.  Amplitudes and weights run from
+# 0.25 to 8 noise deviations; half the cases use sigma2 = 0.36.
+PIN_TOL = 1e-13
+PIN_AMPLITUDES = (0.25, 0.5, 0.9, 1.4, 2.0, 2.5, 3.5, 5.0, 6.5, 8.0)
+PIN_WEIGHTS = ((0.5, 0.25), (1.0, 0.5), (1.5, 1.0), (2.0, 1.0), (3.0, 2.0),
+               (4.0, 1.0), (5.0, 3.0), (6.0, 1.0), (8.0, 4.0), (8.0, 7.5))
+
+
+def _pin_sigma2(k):
+    return (1.0, 0.36)[k % 2]
+
+
+class TestPinnedToOracle:
+    @pytest.mark.parametrize("k", range(len(PIN_AMPLITUDES)))
+    def test_bpsk_rate(self, k):
+        sigma2 = _pin_sigma2(k)
+        amplitude = PIN_AMPLITUDES[k] * math.sqrt(sigma2)
+        assert abs(bpsk_rate(amplitude, sigma2)
+                   - trapezoid_bpsk_rate(amplitude, sigma2)) <= PIN_TOL
+
+    @pytest.mark.parametrize("k", range(len(PIN_WEIGHTS)))
+    def test_exact_mi(self, k):
+        sigma2 = _pin_sigma2(k)
+        alpha, beta = (v * math.sqrt(sigma2) for v in PIN_WEIGHTS[k])
+        w = WeightPair(alpha, beta)
+        assert abs(exact_mi_1d(w, sigma2) - trapezoid_exact_mi(w, sigma2)) <= PIN_TOL
+
+
+# Low-SNR series of the binary-input information in nats at amplitude SNR
+# s = A**2 / sigma2; the next term is of order s**4, under 1e-15 of the
+# result from s = 1e-5 down.  A symmetric four-point input of the same power
+# has the same series to this order.
+LOW_SNR = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
+
+
+def _series_nats(s):
+    return s / 2.0 - s**2 / 4.0 + s**3 / 6.0
+
+
+class TestLowSnrSeries:
+    @pytest.mark.parametrize("s", LOW_SNR)
+    def test_bpsk_rate(self, s):
+        nats = bpsk_rate(math.sqrt(s), 1.0) * math.log(2.0)
+        assert nats == pytest.approx(_series_nats(s), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("s", LOW_SNR)
+    @pytest.mark.parametrize("ratio", [1.01, 2.0, 8.0])
+    def test_exact_mi(self, s, ratio):
+        nats = exact_mi_1d(weights_from_ratio(ratio, s), 1.0) * math.log(2.0)
+        assert nats == pytest.approx(_series_nats(s), rel=1e-14, abs=0.0)
+
+
+class TestMixtureMi:
+    @pytest.mark.parametrize("amplitude", [0.3, 0.999, 1.0, 1.9, 2.0, 2.1, 5.0, 30.0])
+    def test_two_points_are_bpsk(self, amplitude):
+        # Both of mixture_mi's forms against both of bpsk_rate's, which
+        # share no integrand with them.
+        assert mixture_mi((amplitude, -amplitude), 1.0) == pytest.approx(
+            bpsk_rate(amplitude, 1.0), rel=4e-15)
+
+    def test_scale_invariance(self):
+        points = (2.0, -2.0, 0.5, -0.5)
+        scaled = tuple(3.0 * p for p in points)
+        assert mixture_mi(scaled, 9.0) == pytest.approx(mixture_mi(points, 1.0), rel=1e-15)
+
+    def test_asymmetric_points_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            mixture_mi((2.0, 0.5), 1.0)
+
+
 class TestClosedForms:
     def test_shannon_capacity_points(self):
         assert shannon_capacity(1.0) == 1.0
         assert shannon_capacity(3.0) == 2.0
         assert shannon_capacity(0.0) == 0.0
+
+    def test_capacity_keeps_digits_at_low_snr(self):
+        # log2(1 + rho) rounds 1 + rho and keeps about 7 digits at 1e-10.
+        rho = 1e-10
+        assert shannon_capacity(rho) == pytest.approx((rho - rho**2 / 2.0) * LOG2_E,
+                                                      rel=1e-15, abs=0.0)
 
     def test_taylor_capacity(self):
         assert taylor_capacity(0.01) == pytest.approx(0.0144270, abs=5e-8)
@@ -375,3 +454,70 @@ _SETTINGS_SLOW = settings(max_examples=15, deadline=None)
 @given(w=weight_pairs())
 def test_rate_1d_additivity_property(w):
     assert rate_1d(w, 1.0) == rate_z(w, 1.0) + rate_x(w, 1.0)
+
+
+# Information-theory properties over the CLI's useful SNR range.
+SNR_DB = st.floats(min_value=-100.0, max_value=60.0)
+RATIOS = st.floats(min_value=1.001, max_value=1e3)
+_SETTINGS_RANGE = settings(max_examples=150, deadline=None)
+
+# QPSK and the capacity share their series up to rho**3 (2 * (rho/2 -
+# rho**2/4 + rho**3/6) against log1p(rho)), so below about -50 dB they
+# differ by less than their rounding; the largest excess seen on a dense
+# sweep is 3 ulp.  The exact MI stays a relative 5e-11 or more below C at
+# -100 dB, but shares the bound.
+CAPACITY_ULPS = 4
+
+# Each rate switches between two forms of its integral: bpsk_rate at s = 1,
+# mixture_mi once a point leaves two deviations of zero.  The forms agree to
+# 3 ulp at the switch; elsewhere no rate was seen to fall by even one ulp
+# over SNR steps of 1e-13.
+MONOTONE_ULPS = 4
+
+
+def _capacity_bound(rho):
+    bound = min(2.0, shannon_capacity(rho))
+    return bound + CAPACITY_ULPS * math.ulp(bound)
+
+
+def _mi_at(rho, ratio):
+    return exact_mi_1d(weights_from_ratio(ratio, 2.0 * rho), 1.0)
+
+
+@_SETTINGS_RANGE
+@given(db=SNR_DB)
+def test_bpsk_below_capacity_property(db):
+    # All power on one axis: C - BPSK is about rho**2 / 2 nats, far above
+    # rounding, so no slack is needed.
+    rho = 10.0 ** (db / 10.0)
+    assert bpsk_rate_at_snr(rho) <= shannon_capacity(rho)
+
+
+@_SETTINGS_RANGE
+@given(db=SNR_DB, ratio=RATIOS)
+def test_qpsk_and_exact_mi_below_capacity_property(db, ratio):
+    rho = 10.0 ** (db / 10.0)
+    assert qpsk_rate_at_snr(rho) <= _capacity_bound(rho)
+    assert 0.0 <= _mi_at(rho, ratio) <= _capacity_bound(rho)
+
+
+@_SETTINGS_RANGE
+@given(db=SNR_DB, ratio=RATIOS,
+       gap=st.one_of(st.floats(min_value=0.0, max_value=1e-9),
+                     st.floats(min_value=0.0, max_value=10.0)))
+def test_rates_non_decreasing_in_snr_property(db, ratio, gap):
+    lo, hi = 10.0 ** (db / 10.0), 10.0 ** (min(db + gap, 60.0) / 10.0)
+    for rate in (bpsk_rate_at_snr, qpsk_rate_at_snr, shannon_capacity,
+                 lambda rho: _mi_at(rho, ratio)):
+        upper = rate(hi)
+        assert rate(lo) <= upper + MONOTONE_ULPS * math.ulp(upper)
+
+
+def test_rates_continuous_across_form_switches():
+    below, at = math.nextafter(1.0, 0.0), 1.0
+    assert abs(bpsk_rate(below, 1.0) - bpsk_rate(at, 1.0)) <= MONOTONE_ULPS * math.ulp(0.5)
+    for ratio in (1.001, 2.0, 8.0):
+        points = [(a, -a, a / ratio / 2.0, -a / ratio / 2.0)
+                  for a in (math.nextafter(2.0, 0.0), 2.0)]
+        low, high = (mixture_mi(p, 1.0) for p in points)
+        assert abs(high - low) <= MONOTONE_ULPS * math.ulp(high)
