@@ -40,7 +40,12 @@ class NoiseStream:
         return f"NoiseStream(seed={self.seed}, stream_id={self.stream_id}, spec={self.spec})"
 
 
+def noise_real(shape, stream: NoiseStream) -> np.ndarray:
+    """An array of N(0, sigma2) samples; advances the stream."""
+    return stream.generator.normal(0.0, math.sqrt(stream.spec.sigma2), size=shape)
+
+
 def awgn_real(tx, stream: NoiseStream) -> np.ndarray:
     """Add N(0, sigma2) noise to a real array; advances the stream."""
     tx = np.asarray(tx, dtype=float)
-    return tx + stream.generator.normal(0.0, math.sqrt(stream.spec.sigma2), size=tx.shape)
+    return tx + noise_real(tx.shape, stream)

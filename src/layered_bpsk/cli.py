@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import MAX_RATIO, NoiseSpec, weights_from_ratio
 from .montecarlo import (
@@ -28,7 +28,7 @@ from .montecarlo import (
     MIN_SYMBOLS,
     SimConfig,
     ber_predictions_1d,
-    simulate_1d,
+    sweep_1d,
 )
 from .rates import OperatingPoint, operating_point, shannon_capacity
 
@@ -103,6 +103,7 @@ class SweepSpec:
                     f"--ratio values must be finite and in (1, {MAX_RATIO:g}], got {ratio}")
         if not math.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ValueError(f"--sigma2 must be a finite number > 0, got {self.sigma2}")
+        self._check_weights()
 
     def _count(self) -> int:
         steps = (self.max_db - self.min_db) / self.step_db - 1e-9
@@ -110,6 +111,23 @@ class SweepSpec:
             raise ValueError(f"the dB grid would exceed {MAX_GRID_POINTS} points; "
                              f"raise --step-db or narrow --min-db/--max-db")
         return max(0, math.ceil(steps))
+
+    def _check_weights(self) -> None:
+        """Every ratio must give valid weights at both ends of the grid, where
+        the power 2 * sigma2 * rho is smallest and largest."""
+        count = self._count()
+        ends = (self.min_db, self.min_db + (count - 1) * self.step_db) if count else ()
+        for ratio in self.ratios:
+            for snr_db in ends:
+                power = 2.0 * self.sigma2 * _rho(snr_db)
+                try:
+                    weights_from_ratio(ratio, power)
+                except ValueError as exc:
+                    hint = ("raise --min-db or --sigma2, or lower --ratio" if power < 1.0
+                            else "lower --max-db or --sigma2")
+                    raise ValueError(f"--ratio {ratio:g} with --sigma2 {self.sigma2:g} has no "
+                                     f"valid layer weights at {snr_db:g} dB ({exc}); "
+                                     f"{hint}") from None
 
     def grid_db(self) -> list[float]:
         return [self.min_db + k * self.step_db for k in range(self._count())]
@@ -120,7 +138,7 @@ def _rho(snr_db: float) -> float:
 
 
 def _sweep_spec(args) -> SweepSpec:
-    raw_ratio = getattr(args, "ratio", None)
+    raw_ratio = getattr(args, "ratio", ())  # appendix has no --ratio: no layered weights
     if raw_ratio is None:
         ratios = DEFAULT_RATIOS
     elif isinstance(raw_ratio, (int, float)):
@@ -202,14 +220,14 @@ def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
         raise ValueError("ber takes a single --ratio")
     ratio = sweep.ratios[0]
     spec = NoiseSpec(sweep.sigma2)
-    # One config checks the simulation flags before the first point runs,
-    # also for an empty grid; each point only swaps in its weights.
+    # One config checks the simulation flags before any work, also for an
+    # empty grid; the sweep runs every point on the same draws.
     base = SimConfig(n_symbols=args.symbols, w=weights_from_ratio(ratio, 1.0), spec=spec,
                      seed=args.seed, mode=args.mode, workers=args.workers)
+    grid = sweep.grid_db()
+    weights = [weights_from_ratio(ratio, 2.0 * sweep.sigma2 * _rho(snr_db)) for snr_db in grid]
     rows = []
-    for snr_db in sweep.grid_db():
-        w = weights_from_ratio(ratio, 2.0 * sweep.sigma2 * _rho(snr_db))
-        report = simulate_1d(replace(base, w=w), entropy=False)
+    for snr_db, w, report in zip(grid, weights, sweep_1d(base, weights, entropy=False)):
         ber_z, ber_x = report.ber(0)
         pred_z, pred_x = ber_predictions_1d(w, spec, args.mode)
         rows.append([_fmt(snr_db), args.mode, _fmt(ber_z), _fmt(ber_x),

@@ -9,10 +9,11 @@ residual.  With a correct z decision the residual amplitude is either
 demodulable without inter-stream interference.  The two-dimensional scheme
 runs the same construction on each axis.
 
-:func:`encode` (the table lookup) and :func:`decide` (the receiver) work on
-arrays of 0/1 bits, 1 standing for +1; the simulator calls them per chunk.
-The scalar functions on :class:`~layered_bpsk.core.Bit` values are thin
-calls of those two.
+The encoder is :func:`amplitude_table` indexed by :func:`symbol_index`, and
+:func:`decide` is the receiver; both work on arrays of 0/1 bits, 1 standing
+for +1.  The simulator computes each chunk's symbol indices once and looks
+them up in every grid point's table.  The scalar functions on
+:class:`~layered_bpsk.core.Bit` values are thin calls of the same functions.
 
 Sign decisions at exactly zero resolve to +1: the event has measure zero
 under AWGN and a deterministic rule keeps every path reproducible.
@@ -43,12 +44,22 @@ class Demod2DResult:
     x_hat_prime: Bit
 
 
-def encode(x01, z01, w: WeightPair):
-    """Amplitudes of ``w.points`` looked up at index 2*x01 + z01."""
+def symbol_index(x01, z01, out=None):
+    """Index 2*x01 + z01 of each bit pair into :func:`amplitude_table`.
+
+    ``out`` may be ``x01`` itself, which saves an array the size of the draw.
+    """
+    index = np.multiply(x01, 2, out=out)
+    index += z01
+    return index
+
+
+def amplitude_table(w: WeightPair) -> np.ndarray:
+    """The amplitudes of ``w.points`` as a 4-entry array, by symbol index."""
     table = np.empty(4)
     for x, z, amplitude in w.points:
-        table[(x + 1) + (z + 1) // 2] = amplitude
-    return table.take(2 * x01 + z01)
+        table[symbol_index((x + 1) // 2, (z + 1) // 2)] = amplitude
+    return table
 
 
 def decide(y, beta: float, feedback=None):
@@ -78,7 +89,7 @@ def encode_1d(x: Bit, z: Bit, w: WeightPair) -> float:
     """Map a bit pair to its layered amplitude: alpha*x when the bits agree,
     (beta/2)*z when they differ."""
     x, z = Bit(x), Bit(z)
-    return float(encode((x + 1) // 2, (z + 1) // 2, w))
+    return float(amplitude_table(w)[symbol_index((x + 1) // 2, (z + 1) // 2)])
 
 
 def demod_1d(y: float, w: WeightPair) -> Demod1DResult:

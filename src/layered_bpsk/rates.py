@@ -167,9 +167,9 @@ def bpsk_rate(amplitude: float, sigma2: float) -> float:
     """
     if not math.isfinite(amplitude) or amplitude < 0.0:
         raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
+    sigma2 = _check_sigma2(sigma2)
     if amplitude == 0.0:
         return 0.0  # output density collapses to the noise density exactly
-    sigma2 = _check_sigma2(sigma2)
     if amplitude >= SATURATION_SIGMAS * math.sqrt(sigma2):
         return 1.0
     root = amplitude / math.sqrt(sigma2)

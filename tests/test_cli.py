@@ -286,6 +286,27 @@ class TestFailureModes:
         assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
         assert flag in err
 
+    @pytest.mark.parametrize("command", ["rate-sweep", "capacity-gap", "ber"])
+    def test_weights_underflowing_at_the_grid_start_name_the_flags(self, capsys, command):
+        # beta**2 = 2e-300 / (0.5e300 + 0.125) underflows to 0.
+        code, out, err = _run(capsys, command, "--min-db", "-3000", "--max-db", "-2998",
+                              "--ratio", "1e150")
+        assert code == 1 and out == ""
+        assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
+        assert "--ratio" in err and "--min-db" in err
+
+    def test_power_overflowing_at_the_grid_end_names_the_flags(self, capsys):
+        code, out, err = _run(capsys, "rate-sweep", "--min-db", "2990", "--max-db", "2992",
+                              "--sigma2", "1e10")
+        assert code == 1 and out == ""
+        assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
+        assert "--max-db" in err and "--sigma2" in err
+
+    def test_appendix_builds_no_layered_weights(self, capsys):
+        code, out, _ = _run(capsys, "appendix", "--min-db", "-3000", "--max-db", "-2999",
+                            "--sigma2", "1e-300")
+        assert code == 0 and len(_rows(out)[1]) == 2
+
     @pytest.mark.parametrize("max_db, message", [
         ("1e6", "--max-db"),  # 1e12 points, and beyond the dB bound as well
         ("1000", f"exceed {MAX_GRID_POINTS} points"),  # 1e9 points

@@ -14,12 +14,14 @@ from layered_bpsk.montecarlo import (
     MAX_SYMBOLS,
     MAX_WORKERS,
     SimConfig,
+    _CHUNK,
     _draw_axis,
     ber_predictions_1d,
     empirical_entropy,
     qfunc,
     simulate_1d,
     simulate_2d,
+    sweep_1d,
 )
 from layered_bpsk.rates import gaussian_entropy, rate_z, received_entropy_layered
 
@@ -174,6 +176,26 @@ class TestSimulate1D:
             report = simulate_1d(_cfg(n_symbols=200_000, w=w, spec=NoiseSpec(sigma2)))
             hard_rate = 1.0 - binary_entropy(report.ber(0)[0])
             assert hard_rate <= rate_z(w, sigma2) + 0.02
+
+
+class TestSweep1D:
+    # Three chunks, the last one partial, so three workers run in parallel.
+    N = 2 * _CHUNK + 7_777
+    GRID = [WeightPair(2.0, 1.0), WeightPair(3.0, 0.5), WeightPair(1.5, 1.2),
+            WeightPair(2.0, 1.0)]
+
+    @pytest.mark.parametrize("mode", [DECISION_FEEDBACK, GENIE_AIDED])
+    @pytest.mark.parametrize("entropy", [True, False])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_equals_one_simulation_per_point(self, mode, entropy, workers):
+        cfg = _cfg(n_symbols=self.N, mode=mode, workers=workers)
+        reports = sweep_1d(cfg, self.GRID, entropy=entropy)
+        assert reports == [simulate_1d(dataclasses.replace(cfg, w=w), entropy=entropy)
+                           for w in self.GRID]
+        assert (reports[0].empirical_entropy is None) is not entropy
+
+    def test_empty_grid_gives_no_reports(self):
+        assert sweep_1d(_cfg(n_symbols=self.N), []) == []
 
 
 class TestSimulate2D:

@@ -98,6 +98,14 @@ class TestBpskRate:
     def test_zero_amplitude_is_zero(self):
         assert bpsk_rate(0.0, 1.0) == 0.0
 
+    def test_zero_amplitude_rejects_negative_sigma2(self):
+        with pytest.raises(ValueError, match="sigma2"):
+            bpsk_rate(0.0, -1.0)
+
+    def test_zero_amplitude_rejects_nan_sigma2(self):
+        with pytest.raises(ValueError, match="sigma2"):
+            bpsk_rate(0.0, math.nan)
+
     @pytest.mark.parametrize("amplitude, sigma2", [
         (1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (1.2, 0.36),
     ])
@@ -521,3 +529,17 @@ def test_rates_continuous_across_form_switches():
                   for a in (math.nextafter(2.0, 0.0), 2.0)]
         low, high = (mixture_mi(p, 1.0) for p in points)
         assert abs(high - low) <= MONOTONE_ULPS * math.ulp(high)
+
+
+# Every zero-mean input on one real axis has Eb/N0 >= ln 2 (-1.59 dB).  A
+# dense scan over this range found the smallest ebn0_1d at ln 2 * (1 + 1.2e-10),
+# well clear of rounding; the slack covers the last bits of the rates.
+EBN0_ULPS = 4
+WIDE_RATIOS = st.floats(min_value=1.0, max_value=1e8, exclude_min=True)
+
+
+@_SETTINGS_RANGE
+@given(db=SNR_DB, ratio=WIDE_RATIOS)
+def test_ebn0_never_below_wideband_limit_property(db, ratio):
+    w = weights_from_ratio(ratio, 2.0 * 10.0 ** (db / 10.0))
+    assert ebn0_1d(w, 1.0) >= math.log(2.0) - EBN0_ULPS * math.ulp(math.log(2.0))
