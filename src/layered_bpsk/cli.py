@@ -30,7 +30,7 @@ from .montecarlo import (
     ber_predictions_1d,
     sweep_1d,
 )
-from .rates import OperatingPoint, operating_point, shannon_capacity
+from .rates import OperatingPoint, operating_point_grid, shannon_capacity
 
 DEFAULT_SEED = 42424242
 DEFAULT_RATIOS = (2.0, 4.0, 8.0)
@@ -162,9 +162,10 @@ def _axis_value(axis: str, snr_db: float, point: OperatingPoint) -> float:
 
 def cmd_rate_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
     rows = []
+    grid = spec.grid_db()
     for ratio in spec.ratios:
-        for snr_db in spec.grid_db():
-            p = operating_point(_rho(snr_db), spec.sigma2, ratio)
+        points = operating_point_grid([_rho(db) for db in grid], spec.sigma2, ratio)
+        for snr_db, p in zip(grid, points):
             rows.append([_fmt(_axis_value(spec.axis, snr_db, p)), _fmt(ratio),
                          _fmt(p.r_z), _fmt(p.r_x), _fmt(p.r_1), _fmt(p.r_2),
                          _fmt(p.r_bpsk), _fmt(p.qpsk_rate), _fmt(p.capacity),
@@ -174,9 +175,12 @@ def cmd_rate_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
 
 def cmd_capacity_gap(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
     rows = []
+    grid = spec.grid_db()
     for ratio in spec.ratios:
-        for snr_db in spec.grid_db():
-            p = operating_point(_rho(snr_db), spec.sigma2, ratio)
+        # The gap columns print no exact MI, so it is not evaluated.
+        points = operating_point_grid([_rho(db) for db in grid], spec.sigma2, ratio,
+                                      exact_mi=False)
+        for snr_db, p in zip(grid, points):
             # The 2-D scheme occupies both axes, so its own channel SNR is
             # twice the per-axis sweep SNR.
             gap_1 = p.r_1 - p.capacity
@@ -200,7 +204,7 @@ def _central_slopes(rho: list[float], values: list[float]) -> list[float]:
 
 
 def cmd_appendix(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
-    points = [operating_point(_rho(db), spec.sigma2) for db in spec.grid_db()]
+    points = operating_point_grid([_rho(db) for db in spec.grid_db()], spec.sigma2)
     rhos = [p.snr_linear for p in points]
     capacity = [p.capacity for p in points]
     qpsk = [p.qpsk_rate for p in points]

@@ -11,6 +11,13 @@ convergent trapezoidal rule", SIAM Review 2014); the Gaussian mass beyond
 rule is exact to rounding.  Callers choose the step from the distance of
 their integrand's nearest poles.
 
+A 1-D array of steps evaluates a whole grid of expectations in one call:
+row k has its own nodes at ``steps[k]``, ``f`` sees the rows' nodes
+concatenated in order, and each row is summed on its own, so a row's value
+does not depend on the rows beside it.  ``node_counts`` gives each row's
+node count, with which callers repeat their per-row parameters onto the
+nodes.
+
 The procedure is pure floating-point arithmetic with no randomness, so
 identical inputs give bit-identical results.  Integrands must evaluate
 elementwise on numpy arrays.
@@ -27,20 +34,34 @@ NODE_REACH = 12.0
 MAX_STEP = 0.2
 
 
-def integrate(f: Callable, step: float = MAX_STEP) -> float:
+def node_counts(step):
+    """Number of nodes the rule uses at each step, as int64 (a 0-d array
+    for a scalar step)."""
+    return 2 * np.ceil(NODE_REACH / np.asarray(step, dtype=float)).astype(np.int64) + 1
+
+
+def integrate(f: Callable, step=MAX_STEP):
     """E[f(t)] for t ~ N(0, 1); ``f`` is evaluated once, on the array of
-    all nodes, and ``step`` must lie in (0, MAX_STEP]."""
-    if not 0.0 < step <= MAX_STEP:
+    all nodes, and every step must lie in (0, MAX_STEP].  A scalar step
+    gives a float, a 1-D array of steps an array of per-row expectations."""
+    steps = np.asarray(step, dtype=float)
+    if steps.ndim > 1 or not np.all((steps > 0.0) & (steps <= MAX_STEP)):
         raise ValueError(f"step must be in (0, {MAX_STEP}], got {step!r}")
-    half = math.ceil(NODE_REACH / step)
-    t = step * np.arange(-half, half + 1, dtype=float)
+    rows = steps.reshape(-1)
+    counts = node_counts(rows)
+    starts = np.cumsum(counts) - counts
+    # Row k's nodes are steps[k] * (-half_k ... half_k).
+    node_step = np.repeat(rows, counts)
+    offsets = np.arange(counts.sum(), dtype=float) - np.repeat(starts + counts // 2, counts)
+    t = node_step * offsets
     fx = np.asarray(f(t), dtype=float)
     if fx.shape != t.shape:
         raise ValueError("integrand must evaluate elementwise on arrays")
     if not np.all(np.isfinite(fx)):
         raise ValueError("integrand returned non-finite values at the nodes")
-    weights = np.exp(-0.5 * t * t) * (step / math.sqrt(2.0 * math.pi))
-    return float(np.sum(weights * fx))
+    weights = np.exp(-0.5 * t * t) * (node_step / math.sqrt(2.0 * math.pi))
+    sums = np.add.reduceat(weights * fx, starts)
+    return float(sums[0]) if steps.ndim == 0 else sums
 
 
 def plogp(p):

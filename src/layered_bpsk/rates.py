@@ -21,8 +21,15 @@ Two SNR normalizations coexist here and are kept explicit throughout:
 
 Every mutual information is a Gaussian expectation over the normalized noise
 t ~ N(0, 1), evaluated by ``quadrature.integrate`` at a step set by the
-distance of the integrand's poles (``_step``).  Every printed rate is correct
-to its last printed (12th significant) digit.
+distance of the integrand's poles (``_steps``, ``_bpsk_steps``).  Every
+printed rate is correct to its last printed (12th significant) digit.
+
+A grid of rates is evaluated at once: ``bpsk_rate_grid``, ``exact_mi_grid``
+and ``operating_point_grid`` hand all of a grid's rows to ``integrate`` in
+blocks of at most 2**16 nodes (``_BLOCK``), and ``bpsk_rate``,
+``exact_mi_1d``, ``mixture_mi`` and ``operating_point`` are their one-row
+case, equal to the grid's row bit for bit.  Rates saturate exactly at
+``SATURATION_SIGMAS``, so a rate's node count stays bounded at any SNR.
 """
 
 from __future__ import annotations
@@ -33,16 +40,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import WeightPair, mean_power, weights_from_ratio
-from .quadrature import MAX_STEP, integrate
+from .quadrature import MAX_STEP, integrate, node_counts
 
 LOG2_E = math.log2(math.e)
 LN2 = math.log(2.0)
 
 # A rate is saturated, exactly, once every decision boundary between
 # neighbouring points lies at least this many noise deviations away from
-# them: the missing information is then below Q(40) ~ 1e-350, far under one
-# ulp.  Returning it directly also bounds the node count of every integral.
-SATURATION_SIGMAS = 40.0
+# them.  At that distance mpmath puts the missing information at 8.0e-33
+# bits, both for BPSK at A = 12 sigma and for the exact MI at an outer
+# half-gap of 12 sigma: 16 orders under one ulp, and level with the 1e-32
+# Gaussian tail that ``quadrature.NODE_REACH`` = 12 already drops.
+# Returning it directly also bounds the node count of every integral.
+SATURATION_SIGMAS = 12.0
 
 
 def _check_sigma2(sigma2: float) -> float:
@@ -86,7 +96,18 @@ def layered_pdf(y, w: WeightPair, sigma2: float):
     return out
 
 
-def _step(spread: float) -> float:
+# Rows of a grid are evaluated in blocks, so that no array an integrand
+# holds exceeds this many values (nodes times the terms it keeps per node)
+# whatever the grid's length: at most 2**16 nodes for BPSK, fewer for the
+# exact MI's pair terms.  A row with more nodes is a block of its own.
+_BLOCK = 2**16
+
+# Largest exponent of the rule's error that a BPSK step may spend; see
+# ``_bpsk_steps``.  exp(-64) ~ 1.6e-28, far under one ulp of every rate.
+_POLE_EXPONENT = 64.0
+
+
+def _steps(spread):
     """Trapezoid step for points at most ``spread`` noise deviations apart.
 
     The log-sum-exp integrand of two points D deviations apart has poles
@@ -94,7 +115,55 @@ def _step(spread: float) -> float:
     capped at ``MAX_STEP``, which puts the rule's error near
     exp(-20 pi) ~ 5e-28, far under one ulp of every rate.
     """
-    return MAX_STEP * min(1.0, math.pi / (2.0 * spread)) if spread > 0.0 else MAX_STEP
+    width = 2.0 * np.asarray(spread, dtype=float)
+    return MAX_STEP * np.divide(math.pi, width, out=np.ones_like(width), where=width > math.pi)
+
+
+def _bpsk_steps(root):
+    """Trapezoid steps for antipodal points at r = A / sigma > 0.
+
+    BPSK's poles sit at t = -r +- i pi / (2r), where the Gaussian weight is
+    exp(-r**2 / 2), so their error at step h is of order
+    exp(-r**2 / 2 - pi**2 / (r h)) (Trefethen and Weideman, SIAM Review
+    2014).  Where that stays under exp(-_POLE_EXPONENT) at a coarser step
+    than ``_steps`` gives, the coarser one is taken, up to ``MAX_STEP``.
+    That happens from about r = 1.5 on: a rate then takes at most 679 nodes
+    (near r = 6.3) where the spread alone asked for up to 1833, and 121 from
+    r = 11.3 on.
+    """
+    room = root * (_POLE_EXPONENT - 0.5 * root * root)
+    pole = np.divide(math.pi**2, room, out=np.full_like(room, MAX_STEP),
+                     where=room > math.pi**2 / MAX_STEP)
+    return np.maximum(_steps(2.0 * root), pole)
+
+
+def _blocks(counts, limit):
+    """Slices of consecutive rows whose node counts sum to at most
+    ``limit``, or single rows above it."""
+    start, total = 0, 0
+    for k, count in enumerate(counts.tolist()):
+        if total and total + count > limit:
+            yield slice(start, k)
+            start, total = k, 0
+        total += count
+    yield slice(start, len(counts))
+
+
+def _expect(integrand, steps, *params, terms=1):
+    """E[integrand(t, *node_params)] for each row, t ~ N(0, 1), by the
+    trapezoid rule at the row's step.  Each array in ``params`` holds one
+    value per row along its last axis, and is repeated onto the row's nodes
+    there.  The integrand keeps at most ``terms`` values per node, and the
+    rows run in blocks of at most ``_BLOCK // terms`` nodes, one
+    ``integrate`` call each."""
+    out = np.empty(steps.size)
+    if not steps.size:
+        return out
+    counts = node_counts(steps)
+    for rows in _blocks(counts, _BLOCK // terms):
+        node_params = [np.repeat(p[..., rows], counts[rows], axis=-1) for p in params]
+        out[rows] = integrate(lambda t: integrand(t, *node_params), steps[rows])
+    return out
 
 
 def _log_cosh(v):
@@ -103,14 +172,60 @@ def _log_cosh(v):
     return np.log1p(2.0 * np.sinh(0.5 * v) ** 2)
 
 
-def _log_mean_exp(u):
-    """log mean_j exp(u[:, j, :]).  While every u is below 1 it is
-    log1p(mean(expm1(u))), which keeps the digits of a small result; a
-    log-sum-exp shifted by the largest u otherwise."""
+def _log_mean_exp(u, w):
+    """log sum_j w[j] exp(u[:, j, :]), for weights w summing to 1.  While
+    every u is below 1 it is log1p(sum_j w[j] expm1(u)), which keeps the
+    digits of a small result; a log-sum-exp shifted by the largest u
+    otherwise."""
+    w = w[None, :, None]
     m = u.max(axis=1)
-    small = np.log1p(np.expm1(np.minimum(u, 1.0)).mean(axis=1))
-    lse = m + np.log(np.exp(u - m[:, None, :]).mean(axis=1))
+    small = np.log1p((w * np.expm1(np.minimum(u, 1.0))).sum(axis=1))
+    lse = m + np.log((w * np.exp(u - m[:, None, :])).sum(axis=1))
     return np.where(m < 1.0, small, lse)
+
+
+def _mixture_nats(c):
+    """Mutual information in nats of each row of ``c``, an array (rows, n)
+    of equiprobable points in noise deviations, sorted and symmetric about
+    zero (see ``mixture_mi``).
+
+    The Gaussian weight is even in t, and the integrand of point -c_i at t
+    is that of c_i at -t, so only the non-negative half of each row is
+    summed, each point weighted by the share of the row it stands for (a
+    zero in an odd row by 1/n, every other point by 2/n).  The log cosh
+    form pairs c_j with -c_j the same way.
+    """
+    n = c.shape[1]
+    half = np.arange(n // 2, n)  # sorted: c[:, half] are the points >= 0
+    w = np.full(half.size, 2.0 / n)
+    if n % 2:
+        w[0] = 1.0 / n
+    reach = c[:, -1]
+    steps = _steps(2.0 * reach)
+    nats = np.empty(c.shape[0])
+    near = reach < 2.0
+    if near.any():
+        h = c[near][:, half].T  # (point, row)
+
+        def log_cosh_form(t, h):
+            ci, cj = h[:, None, :], h[None, :, :]
+            u = _log_cosh(cj * (ci + t)) - 0.5 * cj * cj
+            return (w[:, None] * _log_mean_exp(u, w)).sum(axis=0)
+
+        nats[near] = 0.5 * np.mean(c[near] ** 2, axis=1) - _expect(
+            log_cosh_form, steps[near], h, terms=half.size**2)
+    if not near.all():
+        others = np.array([[j for j in range(n) if j != i] for i in half])
+        far = c[~near]
+        d = np.moveaxis(far[:, half, None] - far[:, others], 0, -1)  # (i, j != i, row)
+
+        def separation_form(t, d):
+            terms = np.exp(-0.5 * d * (d + 2.0 * t)).sum(axis=1)
+            return (w[:, None] * np.log1p(terms)).sum(axis=0)
+
+        nats[~near] = math.log(n) - _expect(separation_form, steps[~near], d,
+                                            terms=d[..., 0].size)
+    return nats
 
 
 def mixture_mi(points, sigma2: float) -> float:
@@ -129,28 +244,47 @@ def mixture_mi(points, sigma2: float) -> float:
     instead, which pairs c_j with -c_j: the terms linear in t cancel
     exactly, so the low-SNR digits survive, as in ``bpsk_rate``.
     """
-    c = np.asarray(points, dtype=float) / math.sqrt(_check_sigma2(sigma2))
-    ordered = np.sort(c)
-    if not np.array_equal(ordered, -ordered[::-1]):
+    c = np.sort(np.asarray(points, dtype=float)) / math.sqrt(_check_sigma2(sigma2))
+    if not np.array_equal(c, -c[::-1]):
         raise ValueError(f"points must be symmetric about zero, got {points!r}")
-    ci, cj = c[:, None, None], c[None, :, None]  # (i, j, node)
-    reach = float(np.abs(c).max())
-    step = _step(2.0 * reach)
-    if reach < 2.0:
-        nats = 0.5 * np.mean(c * c) - integrate(
-            lambda t: _log_mean_exp(_log_cosh(cj * (ci + t)) - 0.5 * cj * cj).mean(axis=0), step)
-    else:
-        diff = ci - cj
-        others = ~np.eye(c.size, dtype=bool)[:, :, None]
-        nats = math.log(c.size) - integrate(
-            lambda t: np.log1p(np.where(others, np.exp(-0.5 * diff * (diff + 2.0 * t)), 0.0)
-                               .sum(axis=1)).mean(axis=0), step)
-    return float(nats) / LN2
+    return float(_mixture_nats(c[None, :])[0]) / LN2
 
 
 def received_entropy_layered(w: WeightPair, sigma2: float) -> float:
     """Entropy in bits of the four-point layered mixture output."""
     return exact_mi_1d(w, sigma2) + gaussian_entropy(sigma2)
+
+
+def _bpsk_far(t, s, root):
+    return np.logaddexp(0.0, -2.0 * (s + root * t))
+
+
+def _bpsk_near(t, s, root):
+    return _log_cosh(s + root * t)
+
+
+def bpsk_rate_grid(amplitudes, sigma2: float) -> np.ndarray:
+    """``bpsk_rate`` of every amplitude in a 1-D sequence, as an array;
+    element k equals ``bpsk_rate(amplitudes[k], sigma2)`` bit for bit."""
+    a = np.asarray(amplitudes, dtype=float).reshape(-1)
+    bad = ~(np.isfinite(a) & (a >= 0.0))
+    if bad.any():
+        raise ValueError(f"amplitude must be a finite number >= 0, got {float(a[bad][0])!r}")
+    sigma = math.sqrt(_check_sigma2(sigma2))
+    # 0 bits at zero amplitude, where the output density is the noise
+    # density, and exactly 1 from saturation up.
+    saturated = a >= SATURATION_SIGMAS * sigma
+    bits = np.where(saturated, 1.0, 0.0)
+    live = np.flatnonzero((a > 0.0) & ~saturated)
+    root = a[live] / sigma
+    s = root * root
+    steps = _bpsk_steps(root)
+    near = s < 1.0
+    nats = np.empty(live.size)
+    nats[near] = s[near] - _expect(_bpsk_near, steps[near], s[near], root[near])
+    nats[~near] = LN2 - _expect(_bpsk_far, steps[~near], s[~near], root[~near])
+    bits[live] = nats / LN2
+    return bits
 
 
 def bpsk_rate(amplitude: float, sigma2: float) -> float:
@@ -163,23 +297,9 @@ def bpsk_rate(amplitude: float, sigma2: float) -> float:
     form from s = 1 up: the expectation is small near saturation, so the
     last digits survive there.  Below s = 1 it is s - E[log cosh v] instead;
     every log cosh term is >= 0, so nothing cancels and the low-SNR digits
-    survive.
+    survive.  The one-amplitude case of ``bpsk_rate_grid``.
     """
-    if not math.isfinite(amplitude) or amplitude < 0.0:
-        raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
-    sigma2 = _check_sigma2(sigma2)
-    if amplitude == 0.0:
-        return 0.0  # output density collapses to the noise density exactly
-    if amplitude >= SATURATION_SIGMAS * math.sqrt(sigma2):
-        return 1.0
-    root = amplitude / math.sqrt(sigma2)
-    s = root * root
-    step = _step(2.0 * root)
-    if s < 1.0:
-        nats = s - integrate(lambda t: _log_cosh(s + root * t), step)
-    else:
-        nats = LN2 - integrate(lambda t: np.logaddexp(0.0, -2.0 * (s + root * t)), step)
-    return nats / LN2
+    return float(bpsk_rate_grid([amplitude], sigma2)[0])
 
 
 def _pair_rate(pair: tuple[float, float], sigma2: float) -> float:
@@ -209,6 +329,21 @@ def rate_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
     return rate_1d(w, sigma2) + rate_1d(wp, sigma2)
 
 
+def exact_mi_grid(weights, sigma2: float) -> np.ndarray:
+    """``exact_mi_1d`` of every WeightPair in a sequence, as an array;
+    element k equals ``exact_mi_1d(weights[k], sigma2)`` bit for bit."""
+    sigma = math.sqrt(_check_sigma2(sigma2))
+    alpha = np.array([w.alpha for w in weights], dtype=float)
+    beta = np.array([w.beta for w in weights], dtype=float)
+    bits = np.empty(alpha.size)
+    isolated = 0.5 * (alpha - 0.5 * beta) >= SATURATION_SIGMAS * sigma
+    bits[isolated] = 1.5 + 0.5 * bpsk_rate_grid(0.5 * beta[isolated], sigma2)
+    rest = np.flatnonzero(~isolated)
+    points = np.array([weights[k].amplitudes for k in rest], dtype=float).reshape(rest.size, 4)
+    bits[rest] = _mixture_nats(np.sort(points, axis=1) / sigma) / LN2
+    return bits
+
+
 def exact_mi_1d(w: WeightPair, sigma2: float) -> float:
     """Exact mutual information of the equiprobable four-point constellation.
 
@@ -218,12 +353,9 @@ def exact_mi_1d(w: WeightPair, sigma2: float) -> float:
     SATURATION_SIGMAS noise deviations, Y tells +-alpha apart from every
     other point, and only +-beta/2 can still be confused: the MI is then
     1.5 + bpsk_rate(beta/2) / 2, which is exactly 2 once beta/2 is that far
-    from zero too.
+    from zero too.  The one-pair case of ``exact_mi_grid``.
     """
-    reach = SATURATION_SIGMAS * math.sqrt(_check_sigma2(sigma2))
-    if 0.5 * (w.alpha - 0.5 * w.beta) >= reach:
-        return 1.5 + 0.5 * bpsk_rate(0.5 * w.beta, sigma2)
-    return mixture_mi(w.amplitudes, sigma2)
+    return float(exact_mi_grid([w], sigma2)[0])
 
 
 def shannon_capacity(rho: float) -> float:
@@ -347,22 +479,43 @@ class OperatingPoint:
     exact_mi: float | None = None
 
 
-def operating_point(rho: float, sigma2: float, ratio: float | None = None) -> OperatingPoint:
-    """Evaluate the baselines at received SNR rho and, given an alpha/beta
-    ratio, the layered scheme at the same average power as conventional BPSK,
-    ``weights_from_ratio(ratio, 2 * sigma2 * rho)``.  Each distinct BPSK
-    rate is evaluated once: r_z and r_x share the beta/2 term, and the
-    Eb/N0 divides by the same r_1."""
-    layered = {}
+def operating_point_grid(rhos, sigma2: float, ratio: float | None = None, *,
+                         exact_mi: bool = True) -> list[OperatingPoint]:
+    """Evaluate the baselines at each received SNR rho and, given an
+    alpha/beta ratio, the layered scheme at the same average power as
+    conventional BPSK, ``weights_from_ratio(ratio, 2 * sigma2 * rho)``.
+
+    Every BPSK rate of the grid is evaluated in one ``bpsk_rate_grid`` call
+    and every exact MI in one ``exact_mi_grid`` call: per point the two
+    baselines and the three distinct layered amplitudes (r_z and r_x share
+    the beta/2 term), and the Eb/N0 divides by the same r_1.  With
+    ``exact_mi=False`` the exact MI is left out and its field is None.
+    """
+    rhos = [float(rho) for rho in rhos]
+    capacity = [shannon_capacity(rho) for rho in rhos]  # checks every rho
+    amplitudes = [snr_to_amplitude(rho, sigma2) for rho in rhos]
+    amplitudes += [math.sqrt(sigma2 * rho) for rho in rhos]  # QPSK's per-axis amplitude
+    weights = []
     if ratio is not None:
-        w = weights_from_ratio(ratio, 2.0 * sigma2 * rho)
-        outer, half = (bpsk_rate(a, sigma2) for a in w.sign_pair)
-        inner = bpsk_rate(w.residual_pair[0], sigma2)
+        weights = [weights_from_ratio(ratio, 2.0 * sigma2 * rho) for rho in rhos]
+        amplitudes += [a for w in weights for a in (*w.sign_pair, w.residual_pair[0])]
+    rates = bpsk_rate_grid(amplitudes, sigma2)
+    n = len(rhos)
+    columns = dict(capacity=capacity, r_bpsk=rates[:n], qpsk_rate=2.0 * rates[n:2 * n])
+    if weights:
+        outer, half, inner = rates[2 * n:].reshape(n, 3).T
         r_z = 0.5 * (outer + half)
         r_x = 0.5 * (inner + half)
         r_1 = r_z + r_x
-        layered = dict(ebn0_db=to_db(_ebn0(w, sigma2, r_1)), r_z=r_z, r_x=r_x,
-                       r_1=r_1, r_2=r_1 + r_1, exact_mi=exact_mi_1d(w, sigma2))
-    return OperatingPoint(snr_linear=rho, r_bpsk=bpsk_rate_at_snr(rho, sigma2),
-                          qpsk_rate=qpsk_rate_at_snr(rho, sigma2),
-                          capacity=shannon_capacity(rho), **layered)
+        columns.update(r_z=r_z, r_x=r_x, r_1=r_1, r_2=r_1 + r_1, ebn0_db=[
+            to_db(_ebn0(w, sigma2, r)) for w, r in zip(weights, r_1.tolist())])
+        if exact_mi:
+            columns["exact_mi"] = exact_mi_grid(weights, sigma2)
+    columns = {name: np.asarray(col).tolist() for name, col in columns.items()}
+    return [OperatingPoint(snr_linear=rho, **{name: col[k] for name, col in columns.items()})
+            for k, rho in enumerate(rhos)]
+
+
+def operating_point(rho: float, sigma2: float, ratio: float | None = None) -> OperatingPoint:
+    """The one-point case of ``operating_point_grid``."""
+    return operating_point_grid([rho], sigma2, ratio)[0]

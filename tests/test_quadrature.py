@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from layered_bpsk.quadrature import MAX_STEP, NODE_REACH, integrate, plogp
+from layered_bpsk.quadrature import MAX_STEP, NODE_REACH, integrate, node_counts, plogp
 
 
 def _normal_pdf(x, sigma2=1.0):
@@ -31,6 +31,17 @@ class TestIntegralSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError, match="step"):
             integrate(np.cos, **kwargs)
+
+    @pytest.mark.parametrize("step", [[0.1, 0.0], [0.1, math.nan], [[0.1, 0.2]]])
+    def test_invalid_grid(self, step):
+        with pytest.raises(ValueError, match="step"):
+            integrate(np.cos, step)
+
+    def test_node_counts(self):
+        assert node_counts(0.1) == 241
+        assert node_counts(MAX_STEP) == 121
+        # One more node on each side when the step does not divide the reach.
+        assert node_counts([0.2, 0.05, 0.19]).tolist() == [121, 481, 129]
 
 
 class TestIntegrate:
@@ -82,6 +93,26 @@ class TestIntegrate:
         integrate(f, 0.1)
         (nodes,) = seen
         assert np.array_equal(nodes, 0.1 * np.arange(-120, 121))
+
+    def test_grid_equals_one_call_per_step(self):
+        f = lambda t: np.log1p(np.exp(-2.0 * (1.5 + 1.3 * t)))
+        steps = [0.2, 0.0123, 0.1, 0.2, 0.07]
+        grid = integrate(f, np.array(steps))
+        assert isinstance(grid, np.ndarray) and isinstance(integrate(f, 0.1), float)
+        assert [v.hex() for v in grid.tolist()] == [integrate(f, h).hex() for h in steps]
+
+    def test_grid_integrand_sees_rows_concatenated(self):
+        seen = []
+
+        def f(t):
+            seen.append(t.copy())
+            return np.zeros_like(t)
+
+        integrate(f, np.array([0.1, 0.2]))
+        (nodes,) = seen
+        assert nodes.size == node_counts([0.1, 0.2]).sum()
+        assert np.array_equal(nodes, np.concatenate([0.1 * np.arange(-120, 121),
+                                                     0.2 * np.arange(-60, 61)]))
 
     def test_non_finite_integrand_rejected(self):
         f = lambda t: np.where(np.abs(t) < 0.5, np.inf, 1.0)

@@ -1,24 +1,32 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layered_bpsk import rates
+from layered_bpsk.cli import main
 from layered_bpsk.core import WeightPair, weights_from_ratio
+from layered_bpsk.quadrature import node_counts
 from layered_bpsk.rates import (
     LOG2_E,
     SATURATION_SIGMAS,
     bpsk_rate,
+    bpsk_rate_grid,
     bpsk_rate_at_snr,
     ebn0_1d,
     ebn0_2d,
     exact_mi_1d,
+    exact_mi_grid,
     gaussian_entropy,
     layered_pdf,
     mixture_mi,
     mixture_pdf,
     operating_point,
+    operating_point_grid,
     qpsk_rate_at_snr,
     rate_1d,
     rate_2d,
@@ -35,7 +43,14 @@ from layered_bpsk.rates import (
     to_db,
 )
 
-from oracles import trapezoid_bpsk_rate, trapezoid_exact_mi
+from oracles import (
+    gaussian_entropy_bits,
+    mpmath_bpsk_rate,
+    mpmath_mixture_mi,
+    trapezoid_bpsk_rate,
+    trapezoid_entropy,
+    trapezoid_exact_mi,
+)
 
 
 def _slope_near_zero(rate_fn):
@@ -446,6 +461,142 @@ class TestOperatingPoint:
         p = operating_point(0.5, 1.0)
         assert (p.r_bpsk, p.qpsk_rate) == (bpsk_rate_at_snr(0.5), qpsk_rate_at_snr(0.5))
         assert p.r_z is p.r_1 is p.exact_mi is p.ebn0_db is None
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _spy_integrate(monkeypatch):
+    """Record the node count of every ``integrate`` call the rates make."""
+    calls = []
+    integrate = rates.integrate
+
+    def spy(f, step):
+        calls.append(int(node_counts(step).sum()))
+        return integrate(f, step)
+
+    monkeypatch.setattr(rates, "integrate", spy)
+    return calls
+
+
+class TestGridEqualsOneRow:
+    """Each grid form's element k equals the scalar call on row k, bit for
+    bit, whatever the rows beside it and the block it lands in."""
+
+    SIGMA2 = 0.36
+    SIGMA = 0.6
+    # In noise deviations: zero, both sides of the s = 1 switch, the widest
+    # steps, both sides of saturation and far beyond it.
+    ROOTS = (0.0, 1e-6, 0.3, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.5,
+             6.3, 11.3, math.nextafter(SATURATION_SIGMAS, 0.0), SATURATION_SIGMAS, 40.0, 1e200)
+    # (alpha, beta) in noise deviations: the log cosh form, both sides of
+    # reach = 2, the separation form, and outer half-gaps on both sides of
+    # saturation, also with beta/2 itself saturated.
+    WEIGHTS = ((0.02, 0.01), (1.0, 0.5), (math.nextafter(2.0, 0.0), 1.0), (2.0, 1.0),
+               (math.nextafter(2.0, 3.0), 1.0), (4.0, 1.0), (30.0, 29.0),
+               (2.0 * SATURATION_SIGMAS + 0.48, 1.0), (2.0 * SATURATION_SIGMAS + 0.52, 1.0),
+               (3.0 * SATURATION_SIGMAS, 2.0 * SATURATION_SIGMAS + 0.1))
+
+    def test_bpsk_rate_grid(self):
+        amplitudes = [r * self.SIGMA for r in self.ROOTS]
+        grid = bpsk_rate_grid(amplitudes, self.SIGMA2)
+        assert _bits(grid) == _bits(bpsk_rate(a, self.SIGMA2) for a in amplitudes)
+        assert grid[0] == 0.0 and all(grid[-4:] == 1.0)
+
+    def test_exact_mi_grid(self):
+        weights = [WeightPair(a * self.SIGMA, b * self.SIGMA) for a, b in self.WEIGHTS]
+        grid = exact_mi_grid(weights, self.SIGMA2)
+        assert _bits(grid) == _bits(exact_mi_1d(w, self.SIGMA2) for w in weights)
+        assert grid[-1] == 2.0
+
+    def test_rows_straddle_blocks(self, monkeypatch):
+        calls = _spy_integrate(monkeypatch)
+        amplitudes = np.linspace(5.5, 7.0, 240)  # about 670 nodes each
+        grid = bpsk_rate_grid(amplitudes, 1.0)
+        assert len(calls) >= 2 and max(calls) <= 2**16
+        weights = [WeightPair(a, 1.0) for a in np.linspace(8.0, 20.0, 40)]  # 1200 to 3000 nodes
+        mi = exact_mi_grid(weights, 1.0)
+        assert len(calls) >= 5 and max(calls) <= 2**16
+        monkeypatch.undo()
+        assert _bits(grid) == _bits(bpsk_rate(a, 1.0) for a in amplitudes)
+        assert _bits(mi) == _bits(exact_mi_1d(w, 1.0) for w in weights)
+
+    def test_empty_grids(self):
+        assert bpsk_rate_grid([], 1.0).size == 0
+        assert exact_mi_grid([], 1.0).size == 0
+        assert operating_point_grid([], 1.0, 2.0) == []
+
+    def test_grid_checks_every_row(self):
+        with pytest.raises(ValueError, match="amplitude.*-1.0"):
+            bpsk_rate_grid([1.0, -1.0], 1.0)
+        with pytest.raises(ValueError, match="rho"):
+            operating_point_grid([1.0, math.nan], 1.0)
+
+    @pytest.mark.parametrize("ratio", [None, 1.001, 2.0, 8.0, 1e3])
+    def test_operating_point_grid(self, ratio):
+        rhos = [0.0 if ratio is None else 1e-9, 1e-3, 0.37, 1.0, 10.0, 10.0 ** 4.5, 1e6]
+        grid = operating_point_grid(rhos, 0.7, ratio)
+        assert grid == [operating_point(rho, 0.7, ratio) for rho in rhos]
+
+    def test_operating_point_grid_without_exact_mi(self):
+        rhos = [1e-3, 0.37, 10.0, 1e4]
+        lean = operating_point_grid(rhos, 1.0, 4.0, exact_mi=False)
+        full = operating_point_grid(rhos, 1.0, 4.0)
+        assert all(p.exact_mi is None for p in lean)
+        assert lean == [dataclasses.replace(p, exact_mi=None) for p in full]
+
+
+class TestMixtureMiOddPoints:
+    # The half-sum weights a point at zero by 1/n and every other by 2/n.
+    @pytest.mark.parametrize("points", [(-0.7, 0.0, 0.7), (-2.5, 0.0, 2.5),
+                                        (-3.0, -1.0, 0.0, 1.0, 3.0)])
+    def test_against_trapezoid_oracle(self, points):
+        reference = trapezoid_entropy(points, 1.0) - gaussian_entropy_bits(1.0)
+        assert abs(mixture_mi(points, 1.0) - reference) <= PIN_TOL
+
+
+def _rel_error(value, reference):
+    with mpmath.workdps(30):
+        return float(abs(mpmath.mpf(value) - reference) / reference)
+
+
+class TestMpmathPins:
+    """Saturation at 12 sigma and the pole-weighted BPSK step, against
+    mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("root", [1.0, 2.0, 4.0, 6.0, 8.0, 11.9, 12.0, 20.0, 39.0])
+    def test_bpsk_rate(self, root):
+        assert _rel_error(bpsk_rate(root, 1.0), mpmath_bpsk_rate(root)) <= 5e-16
+
+    @pytest.mark.parametrize("half_gap", [SATURATION_SIGMAS - 0.01, SATURATION_SIGMAS + 0.01])
+    def test_exact_mi_across_saturation(self, half_gap):
+        # Outer half-gap (alpha - beta/2) / 2 just below and just above the
+        # switch to 1.5 + bpsk_rate(beta/2) / 2.
+        alpha = 2.0 * half_gap + 0.5
+        reference = mpmath_mixture_mi((alpha, -alpha, 0.5, -0.5))
+        assert abs(exact_mi_1d(WeightPair(alpha, 1.0), 1.0) - reference) <= 1e-15
+
+
+def test_default_rate_sweep_node_budget(monkeypatch, tmp_path):
+    # Nodes of every rate integral in the default rate-sweep, counted with
+    # quadrature.node_counts: 300 847 BPSK and 155 660 exact-MI nodes, down
+    # from 506 350 BPSK nodes with saturation at 40 sigma and the step set by
+    # the point spread alone.  A rule that widens again fails here.
+    nodes = {}
+    expect = rates._expect
+
+    def spy(integrand, steps, *params, **kwargs):
+        name = integrand.__name__
+        nodes[name] = nodes.get(name, 0) + int(node_counts(steps).sum())
+        return expect(integrand, steps, *params, **kwargs)
+
+    monkeypatch.setattr(rates, "_expect", spy)
+    assert main(["rate-sweep", "--out", str(tmp_path / "out.csv")]) == 0
+    bpsk = nodes.pop("_bpsk_near") + nodes.pop("_bpsk_far")
+    assert sorted(nodes) == ["log_cosh_form", "separation_form"]
+    assert bpsk <= 310_000
+    assert sum(nodes.values()) <= 160_000
 
 
 class TestBreakdown:
