@@ -81,7 +81,6 @@ class SweepSpec:
     step_db: float
     ratios: tuple[float, ...]
     sigma2: float
-    out: str
 
     def __post_init__(self):
         if self.axis not in ("snr_db", "ebn0_db"):
@@ -152,7 +151,6 @@ def _sweep_spec(args) -> SweepSpec:
         step_db=args.step_db,
         ratios=ratios,
         sigma2=args.sigma2,
-        out=args.out,
     )
 
 

@@ -19,9 +19,10 @@ Two SNR normalizations coexist here and are kept explicit throughout:
   caller passes; ``ebn0_1d`` and ``ebn0_2d`` pass ``2 * sigma2`` so their
   first-order rate predictions line up with the integral rates.
 
-Every mutual information is a Gaussian expectation over the normalized noise
-t ~ N(0, 1), evaluated by ``quadrature.integrate`` at a step set by the
-distance of the integrand's poles (``_steps``, ``_bpsk_steps``).  Every
+Every mutual information, BPSK's included, is that of equiprobable real
+points, a Gaussian expectation over the normalized noise t ~ N(0, 1)
+(``_mixture_nats``).  ``quadrature.integrate`` evaluates it at a step set by
+the distance of the integrand's poles, pair by pair (``_steps``).  Every
 printed rate is correct to its last printed (12th significant) digit.
 
 A grid of rates is evaluated at once: ``bpsk_rate_grid``, ``exact_mi_grid``
@@ -102,39 +103,33 @@ def layered_pdf(y, w: WeightPair, sigma2: float):
 # exact MI's pair terms.  A row with more nodes is a block of its own.
 _BLOCK = 2**16
 
-# Largest exponent of the rule's error that a BPSK step may spend; see
-# ``_bpsk_steps``.  exp(-64) ~ 1.6e-28, far under one ulp of every rate.
+# Largest exponent of the rule's error that a pair's step may spend; see
+# ``_steps``.  exp(-64) ~ 1.6e-28, far under one ulp of every rate.
 _POLE_EXPONENT = 64.0
 
 
-def _steps(spread):
-    """Trapezoid step for points at most ``spread`` noise deviations apart.
+def _steps(c):
+    """Trapezoid step of each row of ``c``, an array (rows, n) of points in
+    noise deviations: the smallest step any pair of the row allows.
 
-    The log-sum-exp integrand of two points D deviations apart has poles
-    pi / D off the real t axis.  The step is a tenth of that distance,
-    capped at ``MAX_STEP``, which puts the rule's error near
-    exp(-20 pi) ~ 5e-28, far under one ulp of every rate.
+    The integrand's poles from a pair at half-gap g sit near
+    t = -g +- i pi / (2g), where the Gaussian weight is exp(-g**2 / 2), so
+    their error at step h is of order exp(-g**2 / 2 - pi**2 / (g h))
+    (Trefethen and Weideman, SIAM Review 2014).  A pair allows the larger of
+    two steps, capped at ``MAX_STEP``: a tenth of the poles' distance,
+    MAX_STEP pi / (4g), which puts the error near exp(-20 pi) ~ 5e-28; and
+    the coarser step that keeps the error under exp(-_POLE_EXPONENT), where
+    it exists.  For BPSK that happens from about A = 1.5 sigma on: a rate
+    then takes at most 679 nodes (near A = 6.3 sigma) where the spread alone
+    asked for up to 1833, and 121 from A = 11.3 sigma on.  A point paired
+    with itself (g = 0) allows ``MAX_STEP``.
     """
-    width = 2.0 * np.asarray(spread, dtype=float)
-    return MAX_STEP * np.divide(math.pi, width, out=np.ones_like(width), where=width > math.pi)
-
-
-def _bpsk_steps(root):
-    """Trapezoid steps for antipodal points at r = A / sigma > 0.
-
-    BPSK's poles sit at t = -r +- i pi / (2r), where the Gaussian weight is
-    exp(-r**2 / 2), so their error at step h is of order
-    exp(-r**2 / 2 - pi**2 / (r h)) (Trefethen and Weideman, SIAM Review
-    2014).  Where that stays under exp(-_POLE_EXPONENT) at a coarser step
-    than ``_steps`` gives, the coarser one is taken, up to ``MAX_STEP``.
-    That happens from about r = 1.5 on: a rate then takes at most 679 nodes
-    (near r = 6.3) where the spread alone asked for up to 1833, and 121 from
-    r = 11.3 on.
-    """
-    room = root * (_POLE_EXPONENT - 0.5 * root * root)
+    g = 0.5 * np.abs(c[:, :, None] - c[:, None, :])
+    spread = MAX_STEP * np.divide(math.pi, 4.0 * g, out=np.ones_like(g), where=4.0 * g > math.pi)
+    room = g * (_POLE_EXPONENT - 0.5 * g * g)
     pole = np.divide(math.pi**2, room, out=np.full_like(room, MAX_STEP),
                      where=room > math.pi**2 / MAX_STEP)
-    return np.maximum(_steps(2.0 * root), pole)
+    return np.maximum(spread, pole).min(axis=(1, 2))
 
 
 def _blocks(counts, limit):
@@ -173,15 +168,13 @@ def _log_cosh(v):
 
 
 def _log_mean_exp(u, w):
-    """log sum_j w[j] exp(u[:, j, :]), for weights w summing to 1.  While
-    every u is below 1 it is log1p(sum_j w[j] expm1(u)), which keeps the
-    digits of a small result; a log-sum-exp shifted by the largest u
-    otherwise."""
-    w = w[None, :, None]
-    m = u.max(axis=1)
-    small = np.log1p((w * np.expm1(np.minimum(u, 1.0))).sum(axis=1))
-    lse = m + np.log((w * np.exp(u - m[:, None, :])).sum(axis=1))
-    return np.where(m < 1.0, small, lse)
+    """log sum_j w[j] exp(u[:, j, :]), for weights w summing to 1, as
+    log1p(sum_j w[j] expm1(u)), which keeps the digits of a small result.
+    Its one caller, the log cosh form, runs only while every |c_j| < 2, so
+    u >= -c_j**2 / 2 > -2 and the sum stays above expm1(-2) > -1; and
+    u <= |c_j (c_i + t)| < 2 (2 + quadrature.NODE_REACH) = 28, so no exp
+    overflows."""
+    return np.log1p((w[None, :, None] * np.expm1(u)).sum(axis=1))
 
 
 def _mixture_nats(c):
@@ -200,10 +193,9 @@ def _mixture_nats(c):
     w = np.full(half.size, 2.0 / n)
     if n % 2:
         w[0] = 1.0 / n
-    reach = c[:, -1]
-    steps = _steps(2.0 * reach)
+    steps = _steps(c)
     nats = np.empty(c.shape[0])
-    near = reach < 2.0
+    near = c[:, -1] < 2.0
     if near.any():
         h = c[near][:, half].T  # (point, row)
 
@@ -242,7 +234,7 @@ def mixture_mi(points, sigma2: float) -> float:
     the rate is evaluated as
     mean(c**2) / 2 - mean_i E_t[log mean_j exp(log cosh(c_j y) - c_j**2 / 2)]
     instead, which pairs c_j with -c_j: the terms linear in t cancel
-    exactly, so the low-SNR digits survive, as in ``bpsk_rate``.
+    exactly, so the low-SNR digits survive.
     """
     c = np.sort(np.asarray(points, dtype=float)) / math.sqrt(_check_sigma2(sigma2))
     if not np.array_equal(c, -c[::-1]):
@@ -253,14 +245,6 @@ def mixture_mi(points, sigma2: float) -> float:
 def received_entropy_layered(w: WeightPair, sigma2: float) -> float:
     """Entropy in bits of the four-point layered mixture output."""
     return exact_mi_1d(w, sigma2) + gaussian_entropy(sigma2)
-
-
-def _bpsk_far(t, s, root):
-    return np.logaddexp(0.0, -2.0 * (s + root * t))
-
-
-def _bpsk_near(t, s, root):
-    return _log_cosh(s + root * t)
 
 
 def bpsk_rate_grid(amplitudes, sigma2: float) -> np.ndarray:
@@ -277,13 +261,7 @@ def bpsk_rate_grid(amplitudes, sigma2: float) -> np.ndarray:
     bits = np.where(saturated, 1.0, 0.0)
     live = np.flatnonzero((a > 0.0) & ~saturated)
     root = a[live] / sigma
-    s = root * root
-    steps = _bpsk_steps(root)
-    near = s < 1.0
-    nats = np.empty(live.size)
-    nats[near] = s[near] - _expect(_bpsk_near, steps[near], s[near], root[near])
-    nats[~near] = LN2 - _expect(_bpsk_far, steps[~near], s[~near], root[~near])
-    bits[live] = nats / LN2
+    bits[live] = _mixture_nats(np.stack([-root, root], axis=1)) / LN2
     return bits
 
 
@@ -292,12 +270,12 @@ def bpsk_rate(amplitude: float, sigma2: float) -> float:
     signalling on a real dimension with noise variance sigma2; exactly 1 from
     A = SATURATION_SIGMAS * sigma up.
 
-    With s = A**2 / sigma2 and v = s + sqrt(s) t the rate is
-    E[log(1 + tanh v)] = ln 2 - E[log(1 + exp(-2v))] nats, evaluated in that
-    form from s = 1 up: the expectation is small near saturation, so the
-    last digits survive there.  Below s = 1 it is s - E[log cosh v] instead;
-    every log cosh term is >= 0, so nothing cancels and the low-SNR digits
-    survive.  The one-amplitude case of ``bpsk_rate_grid``.
+    It is ``mixture_mi`` of the two points +-A: with s = A**2 / sigma2 and
+    v = s + sqrt(s) t, ln 2 - E[log(1 + exp(-2v))] nats from A = 2 sigma up,
+    where the expectation is small near saturation, so the last digits
+    survive there, and s - E[log cosh v] below, where nothing cancels, so
+    the low-SNR digits survive.  The one-amplitude case of
+    ``bpsk_rate_grid``.
     """
     return float(bpsk_rate_grid([amplitude], sigma2)[0])
 

@@ -322,7 +322,7 @@ class TestFailureModes:
 
         def spec(points):
             return SweepSpec(axis="snr_db", min_db=0.0, max_db=points * step, step_db=step,
-                             ratios=(2.0,), sigma2=1.0, out="-")
+                             ratios=(2.0,), sigma2=1.0)
 
         assert len(spec(MAX_GRID_POINTS).grid_db()) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="grid"):

@@ -312,10 +312,10 @@ class TestLowSnrSeries:
 class TestMixtureMi:
     @pytest.mark.parametrize("amplitude", [0.3, 0.999, 1.0, 1.9, 2.0, 2.1, 5.0, 30.0])
     def test_two_points_are_bpsk(self, amplitude):
-        # Both of mixture_mi's forms against both of bpsk_rate's, which
-        # share no integrand with them.
-        assert mixture_mi((amplitude, -amplitude), 1.0) == pytest.approx(
-            bpsk_rate(amplitude, 1.0), rel=4e-15)
+        # Both of mixture_mi's forms against the antipodal rate in mpmath,
+        # which shares no code with them.
+        rate = mixture_mi((amplitude, -amplitude), 1.0)
+        assert _rel_error(rate, mpmath_bpsk_rate(amplitude)) <= 5e-16
 
     def test_scale_invariance(self):
         points = (2.0, -2.0, 0.5, -0.5)
@@ -486,9 +486,10 @@ class TestGridEqualsOneRow:
 
     SIGMA2 = 0.36
     SIGMA = 0.6
-    # In noise deviations: zero, both sides of the s = 1 switch, the widest
-    # steps, both sides of saturation and far beyond it.
-    ROOTS = (0.0, 1e-6, 0.3, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.5,
+    # In noise deviations: zero, the log cosh form, both sides of the switch
+    # at 2, the widest steps, both sides of saturation and far beyond it.
+    ROOTS = (0.0, 1e-6, 0.3, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+             math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 2.5,
              6.3, 11.3, math.nextafter(SATURATION_SIGMAS, 0.0), SATURATION_SIGMAS, 40.0, 1e200)
     # (alpha, beta) in noise deviations: the log cosh form, both sides of
     # reach = 2, the separation form, and outer half-gaps on both sides of
@@ -562,7 +563,7 @@ def _rel_error(value, reference):
 
 
 class TestMpmathPins:
-    """Saturation at 12 sigma and the pole-weighted BPSK step, against
+    """Saturation at 12 sigma and the pole-weighted pair steps, against
     mpmath at 30 digits."""
 
     @pytest.mark.parametrize("root", [1.0, 2.0, 4.0, 6.0, 8.0, 11.9, 12.0, 20.0, 39.0])
@@ -577,26 +578,37 @@ class TestMpmathPins:
         reference = mpmath_mixture_mi((alpha, -alpha, 0.5, -0.5))
         assert abs(exact_mi_1d(WeightPair(alpha, 1.0), 1.0) - reference) <= 1e-15
 
+    @pytest.mark.parametrize("alpha, beta", [(8.0, 0.5), (13.0, 6.0), (16.0, 2.0), (20.0, 0.5)])
+    def test_exact_mi_pole_weighted_step(self, alpha, beta):
+        # Weights whose pole-weighted step is 2 to 8 times the one the
+        # widest pair's spread alone allows.
+        w = WeightPair(alpha, beta)
+        assert abs(exact_mi_1d(w, 1.0) - mpmath_mixture_mi(w.amplitudes)) <= 1e-15
+
 
 def test_default_rate_sweep_node_budget(monkeypatch, tmp_path):
-    # Nodes of every rate integral in the default rate-sweep, counted with
-    # quadrature.node_counts: 300 847 BPSK and 155 660 exact-MI nodes, down
-    # from 506 350 BPSK nodes with saturation at 40 sigma and the step set by
-    # the point spread alone.  A rule that widens again fails here.
-    nodes = {}
+    # Nodes of every rate integral, counted with quadrature.node_counts.
+    # The default capacity-gap evaluates the default rate-sweep's BPSK rates
+    # and no exact MI: 300 847 nodes, down from 506 350 with saturation at
+    # 40 sigma and the step set by the point spread alone.  The rate-sweep's
+    # exact MI takes 86 526 more, down from 155 660 with the spread step.  A
+    # rule that widens again fails here.
+    nodes = []
     expect = rates._expect
 
     def spy(integrand, steps, *params, **kwargs):
-        name = integrand.__name__
-        nodes[name] = nodes.get(name, 0) + int(node_counts(steps).sum())
+        nodes.append(int(node_counts(steps).sum()))
         return expect(integrand, steps, *params, **kwargs)
 
+    def count(command):
+        nodes.clear()
+        assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
+        return sum(nodes)
+
     monkeypatch.setattr(rates, "_expect", spy)
-    assert main(["rate-sweep", "--out", str(tmp_path / "out.csv")]) == 0
-    bpsk = nodes.pop("_bpsk_near") + nodes.pop("_bpsk_far")
-    assert sorted(nodes) == ["log_cosh_form", "separation_form"]
+    bpsk = count("capacity-gap")
     assert bpsk <= 310_000
-    assert sum(nodes.values()) <= 160_000
+    assert count("rate-sweep") - bpsk <= 90_000
 
 
 class TestBreakdown:
@@ -627,10 +639,10 @@ _SETTINGS_RANGE = settings(max_examples=150, deadline=None)
 # -100 dB, but shares the bound.
 CAPACITY_ULPS = 4
 
-# Each rate switches between two forms of its integral: bpsk_rate at s = 1,
-# mixture_mi once a point leaves two deviations of zero.  The forms agree to
-# 3 ulp at the switch; elsewhere no rate was seen to fall by even one ulp
-# over SNR steps of 1e-13.
+# Every rate switches between two forms of its integral once a point leaves
+# two deviations of zero: bpsk_rate at A = 2 sigma, the exact MI at an outer
+# point of 2 sigma.  The forms agree to 3 ulp at the switch; elsewhere no
+# rate was seen to fall by even one ulp over SNR steps of 1e-13.
 MONOTONE_ULPS = 4
 
 
@@ -673,8 +685,8 @@ def test_rates_non_decreasing_in_snr_property(db, ratio, gap):
 
 
 def test_rates_continuous_across_form_switches():
-    below, at = math.nextafter(1.0, 0.0), 1.0
-    assert abs(bpsk_rate(below, 1.0) - bpsk_rate(at, 1.0)) <= MONOTONE_ULPS * math.ulp(0.5)
+    low, high = (bpsk_rate(a, 1.0) for a in (math.nextafter(2.0, 0.0), 2.0))
+    assert abs(high - low) <= MONOTONE_ULPS * math.ulp(high)
     for ratio in (1.001, 2.0, 8.0):
         points = [(a, -a, a / ratio / 2.0, -a / ratio / 2.0)
                   for a in (math.nextafter(2.0, 0.0), 2.0)]
