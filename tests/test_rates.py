@@ -589,10 +589,8 @@ class TestMpmathPins:
 def test_default_rate_sweep_node_budget(monkeypatch, tmp_path):
     # Nodes of every rate integral, counted with quadrature.node_counts.
     # The default capacity-gap evaluates the default rate-sweep's BPSK rates
-    # and no exact MI: 300 847 nodes, down from 506 350 with saturation at
-    # 40 sigma and the step set by the point spread alone.  The rate-sweep's
-    # exact MI takes 86 526 more, down from 155 660 with the spread step.  A
-    # rule that widens again fails here.
+    # (300 847 nodes) and no exact MI; the rate-sweep's exact MI takes 86 526
+    # more.  A step rule that widens again fails here.
     nodes = []
     expect = rates._expect
 
@@ -641,8 +639,10 @@ CAPACITY_ULPS = 4
 
 # Every rate switches between two forms of its integral once a point leaves
 # two deviations of zero: bpsk_rate at A = 2 sigma, the exact MI at an outer
-# point of 2 sigma.  The forms agree to 3 ulp at the switch; elsewhere no
-# rate was seen to fall by even one ulp over SNR steps of 1e-13.
+# point of 2 sigma.  BPSK's forms agree exactly at the switch, the exact
+# MI's to 3 ulp at the ratios tested below and to 5 ulp at worst over 400
+# ratios from 1.0001 to 1000; elsewhere no rate was seen to fall by even one
+# ulp over SNR steps of 1e-13.
 MONOTONE_ULPS = 4
 
 
