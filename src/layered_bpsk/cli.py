@@ -10,6 +10,11 @@ generated parametrically rather than by inverting it).
 All numeric fields are printed with 12 significant digits, rows end with LF,
 and output is byte-identical across repeated runs with the same flags and
 seed, for any ``--workers`` value.
+
+Each subparser names its ``cmd_*`` function as ``run``, and ``main`` parses,
+runs it and writes its rows; ``rate-sweep`` and ``capacity-gap`` share one
+ratio-major row loop.  Any bad input, a malformed command line included, ends
+with one ``layered-bpsk: error:`` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .montecarlo import (
     ber_predictions_1d,
     sweep_1d,
 )
-from .rates import OperatingPoint, operating_point_grid, shannon_capacity
+from .rates import operating_point_grid, shannon_capacity
 
 DEFAULT_SEED = 42424242
 DEFAULT_RATIOS = (2.0, 4.0, 8.0)
@@ -136,56 +141,37 @@ def _rho(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def _sweep_spec(args) -> SweepSpec:
-    raw_ratio = getattr(args, "ratio", ())  # appendix has no --ratio: no layered weights
-    if raw_ratio is None:
-        ratios = DEFAULT_RATIOS
-    elif isinstance(raw_ratio, (int, float)):
-        ratios = (float(raw_ratio),)
-    else:
-        ratios = tuple(raw_ratio)
-    return SweepSpec(
-        axis=getattr(args, "axis", "snr_db"),
-        min_db=args.min_db,
-        max_db=args.max_db,
-        step_db=args.step_db,
-        ratios=ratios,
-        sigma2=args.sigma2,
-    )
+def _sweep_spec(args, ratios: tuple[float, ...]) -> SweepSpec:
+    return SweepSpec(axis=getattr(args, "axis", "snr_db"), min_db=args.min_db,
+                     max_db=args.max_db, step_db=args.step_db, ratios=ratios, sigma2=args.sigma2)
 
 
-def _axis_value(axis: str, snr_db: float, point: OperatingPoint) -> float:
-    return snr_db if axis == "snr_db" else point.ebn0_db
-
-
-def cmd_rate_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
-    rows = []
+def _ratio_rows(args, header: tuple[str, ...], cells, exact_mi: bool = True):
+    """Rows of a layered sweep, ratio-major: the axis value, the ratio, then
+    ``cells(point)`` of each operating point."""
+    spec = _sweep_spec(args, tuple(args.ratio or DEFAULT_RATIOS))
     grid = spec.grid_db()
-    for ratio in spec.ratios:
-        points = operating_point_grid([_rho(db) for db in grid], spec.sigma2, ratio)
-        for snr_db, p in zip(grid, points):
-            rows.append([_fmt(_axis_value(spec.axis, snr_db, p)), _fmt(ratio),
-                         _fmt(p.r_z), _fmt(p.r_x), _fmt(p.r_1), _fmt(p.r_2),
-                         _fmt(p.r_bpsk), _fmt(p.qpsk_rate), _fmt(p.capacity),
-                         _fmt(p.exact_mi)])
-    return (spec.axis,) + _RATE_SWEEP_HEADER, rows
-
-
-def cmd_capacity_gap(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
     rows = []
-    grid = spec.grid_db()
     for ratio in spec.ratios:
-        # The gap columns print no exact MI, so it is not evaluated.
         points = operating_point_grid([_rho(db) for db in grid], spec.sigma2, ratio,
-                                      exact_mi=False)
+                                      exact_mi=exact_mi)
         for snr_db, p in zip(grid, points):
-            # The 2-D scheme occupies both axes, so its own channel SNR is
-            # twice the per-axis sweep SNR.
-            gap_1 = p.r_1 - p.capacity
-            gap_2 = p.r_2 - shannon_capacity(2.0 * p.snr_linear)
-            rows.append([_fmt(_axis_value(spec.axis, snr_db, p)), _fmt(ratio),
-                         _fmt(gap_1), _fmt(gap_2)])
-    return (spec.axis,) + _GAP_HEADER, rows
+            lead = snr_db if spec.axis == "snr_db" else p.ebn0_db
+            rows.append([_fmt(lead), _fmt(ratio)] + [_fmt(v) for v in cells(p)])
+    return (spec.axis,) + header, rows
+
+
+def cmd_rate_sweep(args) -> tuple[tuple[str, ...], list[list[str]]]:
+    return _ratio_rows(args, _RATE_SWEEP_HEADER, lambda p: (
+        p.r_z, p.r_x, p.r_1, p.r_2, p.r_bpsk, p.qpsk_rate, p.capacity, p.exact_mi))
+
+
+def cmd_capacity_gap(args) -> tuple[tuple[str, ...], list[list[str]]]:
+    # The 2-D scheme occupies both axes, so its own channel SNR is twice the
+    # per-axis sweep SNR.  The gap columns print no exact MI, so it is not
+    # evaluated.
+    return _ratio_rows(args, _GAP_HEADER, lambda p: (
+        p.r_1 - p.capacity, p.r_2 - shannon_capacity(2.0 * p.snr_linear)), exact_mi=False)
 
 
 def _central_slopes(rho: list[float], values: list[float]) -> list[float]:
@@ -201,7 +187,8 @@ def _central_slopes(rho: list[float], values: list[float]) -> list[float]:
     return slopes
 
 
-def cmd_appendix(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
+def cmd_appendix(args) -> tuple[tuple[str, ...], list[list[str]]]:
+    spec = _sweep_spec(args, ())  # appendix has no --ratio: no layered weights
     points = operating_point_grid([_rho(db) for db in spec.grid_db()], spec.sigma2)
     rhos = [p.snr_linear for p in points]
     capacity = [p.capacity for p in points]
@@ -217,10 +204,8 @@ def cmd_appendix(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
 
 
 def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
-    sweep = _sweep_spec(args)
-    if len(sweep.ratios) != 1:
-        raise ValueError("ber takes a single --ratio")
-    ratio = sweep.ratios[0]
+    ratio = args.ratio
+    sweep = _sweep_spec(args, (ratio,))
     spec = NoiseSpec(sweep.sigma2)
     # One config checks the simulation flags before any work, also for an
     # empty grid; the sweep runs every point on the same draws.
@@ -267,8 +252,16 @@ def _add_rate_flags(parser) -> None:
                         help="alpha/beta ratio, repeatable (default 2 4 8)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as ValueError, which ``main`` reports
+    in one line, instead of printing usage and exiting with code 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="layered-bpsk",
         description="Achievable-rate sweeps and link simulations for layered BPSK "
                     "over AWGN, written as deterministic CSV.",
@@ -279,15 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
                           help="rates of the layered scheme vs conventional baselines")
     _add_grid_flags(rate, min_db=-20.0, max_db=20.0)
     _add_rate_flags(rate)
+    rate.set_defaults(run=cmd_rate_sweep)
 
     gap = sub.add_parser("capacity-gap",
                          help="layered-scheme rate minus AWGN capacity")
     _add_grid_flags(gap, min_db=-20.0, max_db=20.0)
     _add_rate_flags(gap)
+    gap.set_defaults(run=cmd_capacity_gap)
 
     appendix = sub.add_parser("appendix",
                               help="baseline rate curves and slopes vs linear SNR")
     _add_grid_flags(appendix, min_db=-40.0, max_db=0.0)
+    appendix.set_defaults(run=cmd_appendix)
 
     ber = sub.add_parser("ber", help="Monte Carlo bit error rates with Q-function "
                                      "predictions")
@@ -305,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     ber.add_argument("--workers", type=int, default=1,
                      help=f"parallel workers, 1 to {MAX_WORKERS}; output is identical "
                           "for any value")
+    ber.set_defaults(run=cmd_ber)
     return parser
 
 
@@ -329,21 +326,11 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-_SWEEP_COMMANDS = {
-    "rate-sweep": cmd_rate_sweep,
-    "capacity-gap": cmd_capacity_gap,
-    "appendix": cmd_appendix,
-}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_values(argv))
     try:
-        if args.command == "ber":
-            header, rows = cmd_ber(args)
-        else:
-            header, rows = _SWEEP_COMMANDS[args.command](_sweep_spec(args))
+        args = build_parser().parse_args(_join_negative_values(argv))
+        header, rows = args.run(args)
         _write_csv(args.out, header, rows)
     except (ValueError, OSError) as exc:
         print(f"layered-bpsk: error: {exc}", file=sys.stderr)

@@ -27,9 +27,13 @@ printed rate is correct to its last printed (12th significant) digit.
 
 A grid of rates is evaluated at once: ``bpsk_rate_grid``, ``exact_mi_grid``
 and ``operating_point_grid`` hand all of a grid's rows to ``integrate`` in
-blocks of at most 2**16 nodes (``_BLOCK``), and ``bpsk_rate``,
-``exact_mi_1d``, ``mixture_mi`` and ``operating_point`` are their one-row
-case, equal to the grid's row bit for bit.  Rates saturate exactly at
+blocks of at most 2**16 nodes (``_BLOCK``).  Each scalar is rows of one such
+batch, equal to the grid's rows bit for bit: ``bpsk_rate`` and
+``bpsk_rate_at_snr`` are one row of ``bpsk_rate_grid``; ``rate_z``, ``rate_x``
+and ``rate_1d`` three rows of it, the ``_stream_amplitudes``, read by the
+``_stream_rates`` the grid uses; ``exact_mi_1d`` and ``mixture_mi`` one row
+of the mixture evaluator; ``operating_point`` and ``qpsk_rate_at_snr`` one
+point of ``operating_point_grid``.  Rates saturate exactly at
 ``SATURATION_SIGMAS``, so a rate's node count stays bounded at any SNR.
 """
 
@@ -67,34 +71,26 @@ def gaussian_entropy(sigma2: float) -> float:
     return 0.5 * math.log2(2.0 * math.pi * math.e * _check_sigma2(sigma2))
 
 
+def _points_pdf(y, points, sigma2: float):
+    """Density of equiprobable real ``points`` plus N(0, sigma2) noise."""
+    y = np.asarray(y, dtype=float)
+    inv = 0.5 / sigma2
+    out = sum(np.exp(-((y - mean) ** 2) * inv) for mean in points)
+    out = (1.0 / len(points)) / math.sqrt(2.0 * math.pi * sigma2) * out
+    return float(out) if out.ndim == 0 else out
+
+
 def mixture_pdf(y, amplitude: float, sigma2: float):
     """Density of an equiprobable two-point amplitude {+A, -A} plus noise."""
     sigma2 = _check_sigma2(sigma2)
     if not math.isfinite(amplitude) or amplitude < 0.0:
         raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
-    y = np.asarray(y, dtype=float)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * sigma2)
-    inv = 0.5 / sigma2
-    out = 0.5 * norm * (np.exp(-((y - amplitude) ** 2) * inv)
-                        + np.exp(-((y + amplitude) ** 2) * inv))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _points_pdf(y, (amplitude, -amplitude), sigma2)
 
 
 def layered_pdf(y, w: WeightPair, sigma2: float):
     """Density of the four-point layered constellation ``w.amplitudes``."""
-    sigma2 = _check_sigma2(sigma2)
-    y = np.asarray(y, dtype=float)
-    norm = 0.25 / math.sqrt(2.0 * math.pi * sigma2)
-    inv = 0.5 / sigma2
-    out = np.zeros_like(y, dtype=float)
-    for mean in w.amplitudes:
-        out = out + np.exp(-((y - mean) ** 2) * inv)
-    out = norm * out
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _points_pdf(y, w.amplitudes, _check_sigma2(sigma2))
 
 
 # Rows of a grid are evaluated in blocks, so that no array an integrand
@@ -280,26 +276,35 @@ def bpsk_rate(amplitude: float, sigma2: float) -> float:
     return float(bpsk_rate_grid([amplitude], sigma2)[0])
 
 
-def _pair_rate(pair: tuple[float, float], sigma2: float) -> float:
-    """Mean antipodal rate over two equiprobable amplitudes."""
-    a, b = pair
-    return 0.5 * (bpsk_rate(a, sigma2) + bpsk_rate(b, sigma2))
+def _stream_amplitudes(w: WeightPair) -> tuple[float, float, float]:
+    """(alpha, beta/2, alpha - beta): the sign pair ``w.sign_pair`` and the
+    residual pair ``w.residual_pair`` share beta/2, so three BPSK rates give
+    both streams."""
+    return (*w.sign_pair, w.residual_pair[0])
+
+
+def _stream_rates(bits):
+    """(r_z, r_x) as arrays, from the BPSK rates of ``_stream_amplitudes``
+    triples laid end to end: each stream's rate is the mean of its pair's."""
+    outer, half, inner = np.reshape(bits, (-1, 3)).T
+    return 0.5 * (outer + half), 0.5 * (inner + half)
 
 
 def rate_z(w: WeightPair, sigma2: float) -> float:
     """First-stream rate: the sign decision sees ``w.sign_pair``."""
-    return _pair_rate(w.sign_pair, sigma2)
+    return _stream_rates(bpsk_rate_grid(_stream_amplitudes(w), sigma2))[0].item()
 
 
 def rate_x(w: WeightPair, sigma2: float) -> float:
     """Second-stream rate: after subtracting the first-stream decision the
     residual amplitudes are ``w.residual_pair``."""
-    return _pair_rate(w.residual_pair, sigma2)
+    return _stream_rates(bpsk_rate_grid(_stream_amplitudes(w), sigma2))[1].item()
 
 
 def rate_1d(w: WeightPair, sigma2: float) -> float:
     """Sum rate of the two layered streams on one dimension."""
-    return rate_z(w, sigma2) + rate_x(w, sigma2)
+    r_z, r_x = _stream_rates(bpsk_rate_grid(_stream_amplitudes(w), sigma2))
+    return (r_z + r_x).item()
 
 
 def rate_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
@@ -390,11 +395,8 @@ def bpsk_rate_at_snr(rho: float, sigma2: float = 1.0) -> float:
 def qpsk_rate_at_snr(rho: float, sigma2: float = 1.0) -> float:
     """Per-axis-BPSK QPSK rate at received SNR rho: the power splits evenly
     over both axes, so each axis runs at per-axis SNR rho and the rate is
-    twice the per-axis BPSK rate."""
-    if not math.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"rho must be a finite number >= 0, got {rho!r}")
-    per_axis_amplitude = math.sqrt(_check_sigma2(sigma2) * rho)
-    return 2.0 * bpsk_rate(per_axis_amplitude, sigma2)
+    twice the per-axis BPSK rate.  A field of ``operating_point``."""
+    return operating_point(rho, sigma2).qpsk_rate
 
 
 def ebn0_1d(w: WeightPair, sigma2: float) -> float:
@@ -404,15 +406,21 @@ def ebn0_1d(w: WeightPair, sigma2: float) -> float:
     by the total noise power N0 = 2 * sigma2 so the ratio is comparable with
     the conventional-BPSK curve and its -1.59 dB floor.
     """
-    return _ebn0(w, sigma2, rate_1d(w, sigma2))
+    r1 = _nonzero_rate(rate_1d(w, sigma2))
+    return _n0_energy(w, sigma2) / r1
 
 
-def _ebn0(w: WeightPair, sigma2: float, r1: float) -> float:
-    """ebn0_1d given the sum rate r1 of the operating point."""
-    if r1 <= 0.0:
+def _nonzero_rate(rate: float) -> float:
+    """The sum rate an Eb/N0 divides by, which must not be zero."""
+    if rate <= 0.0:
         raise ValueError("rate is zero at this operating point; Eb/N0 undefined")
+    return rate
+
+
+def _n0_energy(w: WeightPair, sigma2: float) -> float:
+    """rho_z + rho_x of one axis against the total noise power N0 = 2 * sigma2."""
     n0 = 2.0 * sigma2
-    return (rho_bpsk(w, n0) + rho_x(w, n0)) / r1
+    return rho_bpsk(w, n0) + rho_x(w, n0)
 
 
 def ebn0_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
@@ -421,12 +429,8 @@ def ebn0_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
     Sums both axes' SNR terms over the doubled rate; equals ebn0_1d exactly
     when both axes use the same weights.
     """
-    r2 = rate_2d(w, wp, sigma2)
-    if r2 <= 0.0:
-        raise ValueError("rate is zero at this operating point; Eb/N0 undefined")
-    n0 = 2.0 * sigma2
-    energy = (rho_bpsk(w, n0) + rho_x(w, n0)) + (rho_bpsk(wp, n0) + rho_x(wp, n0))
-    return energy / r2
+    r2 = _nonzero_rate(rate_2d(w, wp, sigma2))
+    return (_n0_energy(w, sigma2) + _n0_energy(wp, sigma2)) / r2
 
 
 def to_db(ratio: float) -> float:
@@ -465,8 +469,8 @@ def operating_point_grid(rhos, sigma2: float, ratio: float | None = None, *,
 
     Every BPSK rate of the grid is evaluated in one ``bpsk_rate_grid`` call
     and every exact MI in one ``exact_mi_grid`` call: per point the two
-    baselines and the three distinct layered amplitudes (r_z and r_x share
-    the beta/2 term), and the Eb/N0 divides by the same r_1.  With
+    baselines and the three ``_stream_amplitudes`` (r_z and r_x share the
+    beta/2 term), and the Eb/N0 divides by the same r_1.  With
     ``exact_mi=False`` the exact MI is left out and its field is None.
     """
     rhos = [float(rho) for rho in rhos]
@@ -476,17 +480,16 @@ def operating_point_grid(rhos, sigma2: float, ratio: float | None = None, *,
     weights = []
     if ratio is not None:
         weights = [weights_from_ratio(ratio, 2.0 * sigma2 * rho) for rho in rhos]
-        amplitudes += [a for w in weights for a in (*w.sign_pair, w.residual_pair[0])]
+        amplitudes += [a for w in weights for a in _stream_amplitudes(w)]
     rates = bpsk_rate_grid(amplitudes, sigma2)
     n = len(rhos)
     columns = dict(capacity=capacity, r_bpsk=rates[:n], qpsk_rate=2.0 * rates[n:2 * n])
     if weights:
-        outer, half, inner = rates[2 * n:].reshape(n, 3).T
-        r_z = 0.5 * (outer + half)
-        r_x = 0.5 * (inner + half)
+        r_z, r_x = _stream_rates(rates[2 * n:])
         r_1 = r_z + r_x
         columns.update(r_z=r_z, r_x=r_x, r_1=r_1, r_2=r_1 + r_1, ebn0_db=[
-            to_db(_ebn0(w, sigma2, r)) for w, r in zip(weights, r_1.tolist())])
+            to_db(_n0_energy(w, sigma2) / _nonzero_rate(r))
+            for w, r in zip(weights, r_1.tolist())])
         if exact_mi:
             columns["exact_mi"] = exact_mi_grid(weights, sigma2)
     columns = {name: np.asarray(col).tolist() for name, col in columns.items()}

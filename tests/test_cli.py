@@ -279,6 +279,11 @@ class TestFailureModes:
         (("ber", "--seed", str(2**64), "--min-db", "0", "--max-db", "0"), "seed"),
         (("ber", "--workers", str(MAX_WORKERS + 1), "--min-db", "0", "--max-db", "0"),
          "workers"),
+        # Malformed command lines are reported the same way, not as usage.
+        (("ber", "--symbols", "abc"), "--symbols"),
+        (("ber", "--mode", "foo"), "--mode"),
+        (("rate-sweep", "--bogus"), "--bogus"),
+        ((), "command"),
     ])
     def test_out_of_range_input_is_one_line_error(self, capsys, argv, flag):
         code, out, err = _run(capsys, *argv)

@@ -447,15 +447,20 @@ class TestEbN0:
 
 
 class TestOperatingPoint:
-    def test_fields_consistent(self):
-        p = operating_point(0.5, 1.0, ratio=3.0)
+    @pytest.mark.parametrize("ratio", [1.001, 3.0, 1e3])
+    @pytest.mark.parametrize("rho", [1e-9, 0.5, 1e4])
+    def test_fields_consistent(self, rho, ratio):
+        # Every scalar function equals its record field bit for bit.
+        p = operating_point(rho, 1.0, ratio=ratio)
         assert p.r_1 == p.r_z + p.r_x
         assert p.r_2 == 2.0 * p.r_1
         assert p.capacity == shannon_capacity(p.snr_linear)
-        w = weights_from_ratio(3.0, 2.0 * 0.5)
-        assert (p.r_z, p.r_x) == (rate_z(w, 1.0), rate_x(w, 1.0))
-        assert p.ebn0_db == to_db(ebn0_1d(w, 1.0))
+        w = weights_from_ratio(ratio, 2.0 * rho)
+        assert (p.r_z, p.r_x, p.r_1) == (rate_z(w, 1.0), rate_x(w, 1.0), rate_1d(w, 1.0))
+        assert p.r_2 == rate_2d(w, w, 1.0)
+        assert p.ebn0_db == to_db(ebn0_1d(w, 1.0)) == to_db(ebn0_2d(w, w, 1.0))
         assert p.exact_mi == exact_mi_1d(w, 1.0)
+        assert (p.r_bpsk, p.qpsk_rate) == (bpsk_rate_at_snr(rho), qpsk_rate_at_snr(rho))
 
     def test_baseline_only_point(self):
         p = operating_point(0.5, 1.0)
