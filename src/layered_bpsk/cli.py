@@ -13,8 +13,11 @@ seed, for any ``--workers`` value.
 
 Each subparser names its ``cmd_*`` function as ``run``, and ``main`` parses,
 runs it and writes its rows; ``rate-sweep`` and ``capacity-gap`` share one
-ratio-major row loop.  Any bad input, a malformed command line included, ends
-with one ``layered-bpsk: error:`` line and exit code 1.
+ratio-major row loop.  One grid check, ``_grid_db``, serves every command:
+it checks the grid flags, the ratios and ``--sigma2``, and the signal power
+at both grid ends, before any grid point is evaluated.  Any bad input, a
+malformed command line included, ends with one ``layered-bpsk: error:`` line
+and exit code 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .core import MAX_RATIO, NoiseSpec, weights_from_ratio
 from .montecarlo import (
@@ -35,7 +37,7 @@ from .montecarlo import (
     ber_predictions_1d,
     sweep_1d,
 )
-from .rates import operating_point_grid, shannon_capacity
+from .rates import operating_point_grid, shannon_capacity, signal_power
 
 DEFAULT_SEED = 42424242
 DEFAULT_RATIOS = (2.0, 4.0, 8.0)
@@ -71,94 +73,69 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated sweep parameters shared by every command.
-
-    The dB grid is half-open, [min_db, max_db): equal bounds give an empty
-    grid and therefore a header-only CSV.  It has at most MAX_GRID_POINTS
-    points.
-    """
-
-    axis: str
-    min_db: float
-    max_db: float
-    step_db: float
-    ratios: tuple[float, ...]
-    sigma2: float
-
-    def __post_init__(self):
-        if self.axis not in ("snr_db", "ebn0_db"):
-            raise ValueError(f"axis must be snr_db or ebn0_db, got {self.axis!r}")
-        if not all(math.isfinite(v) for v in (self.min_db, self.max_db, self.step_db)):
-            raise ValueError("grid bounds and step must be finite")
-        if self.min_db > self.max_db:
-            raise ValueError(
-                f"--min-db must not exceed --max-db, got {self.min_db} > {self.max_db}")
-        if self.min_db < -MAX_ABS_DB or self.max_db > MAX_ABS_DB:
-            raise ValueError(f"--min-db and --max-db must lie within +-{MAX_ABS_DB:g} dB, "
-                             f"got {self.min_db} and {self.max_db}")
-        if self.step_db <= 0:
-            raise ValueError(f"--step-db must be positive, got {self.step_db}")
-        self._count()
-        for ratio in self.ratios:
-            if not math.isfinite(ratio) or not 1.0 < ratio <= MAX_RATIO:
-                raise ValueError(
-                    f"--ratio values must be finite and in (1, {MAX_RATIO:g}], got {ratio}")
-        if not math.isfinite(self.sigma2) or self.sigma2 <= 0:
-            raise ValueError(f"--sigma2 must be a finite number > 0, got {self.sigma2}")
-        self._check_weights()
-
-    def _count(self) -> int:
-        steps = (self.max_db - self.min_db) / self.step_db - 1e-9
-        if steps > MAX_GRID_POINTS:
-            raise ValueError(f"the dB grid would exceed {MAX_GRID_POINTS} points; "
-                             f"raise --step-db or narrow --min-db/--max-db")
-        return max(0, math.ceil(steps))
-
-    def _check_weights(self) -> None:
-        """Every ratio must give valid weights at both ends of the grid, where
-        the power 2 * sigma2 * rho is smallest and largest."""
-        count = self._count()
-        ends = (self.min_db, self.min_db + (count - 1) * self.step_db) if count else ()
-        for ratio in self.ratios:
-            for snr_db in ends:
-                power = 2.0 * self.sigma2 * _rho(snr_db)
-                try:
-                    weights_from_ratio(ratio, power)
-                except ValueError as exc:
-                    hint = ("raise --min-db or --sigma2, or lower --ratio" if power < 1.0
-                            else "lower --max-db or --sigma2")
-                    raise ValueError(f"--ratio {ratio:g} with --sigma2 {self.sigma2:g} has no "
-                                     f"valid layer weights at {snr_db:g} dB ({exc}); "
-                                     f"{hint}") from None
-
-    def grid_db(self) -> list[float]:
-        return [self.min_db + k * self.step_db for k in range(self._count())]
-
-
 def _rho(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def _sweep_spec(args, ratios: tuple[float, ...]) -> SweepSpec:
-    return SweepSpec(axis=getattr(args, "axis", "snr_db"), min_db=args.min_db,
-                     max_db=args.max_db, step_db=args.step_db, ratios=ratios, sigma2=args.sigma2)
+def _grid_db(args, ratios: tuple[float, ...] = ()) -> list[float]:
+    """The dB grid of one command, after checking every grid flag, each of
+    ``ratios`` and ``--sigma2``.
+
+    The grid is half-open, [min_db, max_db): equal bounds give an empty grid
+    and therefore a header-only CSV.  It has at most MAX_GRID_POINTS points.
+    At both ends, where the signal power is smallest and largest, every
+    ratio must give valid layer weights and the power must be finite.
+    """
+    lo, hi, step, sigma2 = args.min_db, args.max_db, args.step_db, args.sigma2
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError("grid bounds and step must be finite")
+    if lo > hi:
+        raise ValueError(f"--min-db must not exceed --max-db, got {lo} > {hi}")
+    if lo < -MAX_ABS_DB or hi > MAX_ABS_DB:
+        raise ValueError(f"--min-db and --max-db must lie within +-{MAX_ABS_DB:g} dB, "
+                         f"got {lo} and {hi}")
+    if step <= 0:
+        raise ValueError(f"--step-db must be positive, got {step}")
+    steps = (hi - lo) / step - 1e-9
+    if steps > MAX_GRID_POINTS:
+        raise ValueError(f"the dB grid would exceed {MAX_GRID_POINTS} points; "
+                         f"raise --step-db or narrow --min-db/--max-db")
+    for ratio in ratios:
+        if not math.isfinite(ratio) or not 1.0 < ratio <= MAX_RATIO:
+            raise ValueError(
+                f"--ratio values must be finite and in (1, {MAX_RATIO:g}], got {ratio}")
+    if not math.isfinite(sigma2) or sigma2 <= 0:
+        raise ValueError(f"--sigma2 must be a finite number > 0, got {sigma2}")
+    grid = [lo + k * step for k in range(max(0, math.ceil(steps)))]
+    for snr_db in grid[:1] + grid[-1:]:
+        power = signal_power(_rho(snr_db), sigma2)
+        hint = ("raise --min-db or --sigma2, or lower --ratio" if power < 1.0
+                else "lower --max-db or --sigma2")
+        for ratio in ratios:
+            try:
+                weights_from_ratio(ratio, power)
+            except ValueError as exc:
+                raise ValueError(f"--ratio {ratio} with --sigma2 {sigma2} has no valid "
+                                 f"layer weights at {snr_db} dB ({exc}); {hint}") from None
+        if math.isinf(power):
+            raise ValueError(f"--sigma2 {sigma2} at {snr_db} dB gives an infinite "
+                             f"signal power 2 * sigma2 * rho; {hint}")
+    return grid
 
 
 def _ratio_rows(args, header: tuple[str, ...], cells, exact_mi: bool = True):
     """Rows of a layered sweep, ratio-major: the axis value, the ratio, then
     ``cells(point)`` of each operating point."""
-    spec = _sweep_spec(args, tuple(args.ratio or DEFAULT_RATIOS))
-    grid = spec.grid_db()
+    ratios = tuple(args.ratio or DEFAULT_RATIOS)
+    grid = _grid_db(args, ratios)
     rows = []
-    for ratio in spec.ratios:
-        points = operating_point_grid([_rho(db) for db in grid], spec.sigma2, ratio,
+    for ratio in ratios:
+        points = operating_point_grid([_rho(db) for db in grid], args.sigma2, ratio,
                                       exact_mi=exact_mi)
         for snr_db, p in zip(grid, points):
-            lead = snr_db if spec.axis == "snr_db" else p.ebn0_db
+            lead = snr_db if args.axis == "snr_db" else p.ebn0_db
             rows.append([_fmt(lead), _fmt(ratio)] + [_fmt(v) for v in cells(p)])
-    return (spec.axis,) + header, rows
+    return (args.axis,) + header, rows
 
 
 def cmd_rate_sweep(args) -> tuple[tuple[str, ...], list[list[str]]]:
@@ -188,31 +165,25 @@ def _central_slopes(rho: list[float], values: list[float]) -> list[float]:
 
 
 def cmd_appendix(args) -> tuple[tuple[str, ...], list[list[str]]]:
-    spec = _sweep_spec(args, ())  # appendix has no --ratio: no layered weights
-    points = operating_point_grid([_rho(db) for db in spec.grid_db()], spec.sigma2)
+    # appendix has no --ratio, so it builds no layered weights.
+    points = operating_point_grid([_rho(db) for db in _grid_db(args)], args.sigma2)
     rhos = [p.snr_linear for p in points]
-    capacity = [p.capacity for p in points]
-    qpsk = [p.qpsk_rate for p in points]
-    bpsk = [p.r_bpsk for p in points]
-    slopes = [_central_slopes(rhos, col) for col in (capacity, qpsk, bpsk)]
-    rows = [
-        [_fmt(rhos[i]), _fmt(capacity[i]), _fmt(qpsk[i]), _fmt(bpsk[i]),
-         _fmt(slopes[0][i]), _fmt(slopes[1][i]), _fmt(slopes[2][i])]
-        for i in range(len(rhos))
-    ]
-    return _APPENDIX_HEADER, rows
+    curves = [[p.capacity for p in points], [p.qpsk_rate for p in points],
+              [p.r_bpsk for p in points]]
+    columns = [rhos, *curves, *(_central_slopes(rhos, curve) for curve in curves)]
+    return _APPENDIX_HEADER, [[_fmt(v) for v in row] for row in zip(*columns)]
 
 
 def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
     ratio = args.ratio
-    sweep = _sweep_spec(args, (ratio,))
-    spec = NoiseSpec(sweep.sigma2)
+    grid = _grid_db(args, (ratio,))
+    spec = NoiseSpec(args.sigma2)
     # One config checks the simulation flags before any work, also for an
     # empty grid; the sweep runs every point on the same draws.
     base = SimConfig(n_symbols=args.symbols, w=weights_from_ratio(ratio, 1.0), spec=spec,
                      seed=args.seed, mode=args.mode, workers=args.workers)
-    grid = sweep.grid_db()
-    weights = [weights_from_ratio(ratio, 2.0 * sweep.sigma2 * _rho(snr_db)) for snr_db in grid]
+    weights = [weights_from_ratio(ratio, signal_power(_rho(snr_db), args.sigma2))
+               for snr_db in grid]
     rows = []
     for snr_db, w, report in zip(grid, weights, sweep_1d(base, weights, entropy=False)):
         ber_z, ber_x = report.ber(0)

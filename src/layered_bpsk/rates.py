@@ -11,7 +11,10 @@ Two SNR normalizations coexist here and are kept explicit throughout:
   ``shannon_capacity`` and the Eb/N0 helpers) use the received SNR
   ``rho = signal power / (2 * sigma2)``: the signal lives on one or both axes
   of a complex-baseband channel whose total noise power is ``N0 = 2 * sigma2``.
-  Under this standard normalization the capacity, BPSK and QPSK curves all
+  ``signal_power(rho, sigma2)`` is the one place that power, 2 * sigma2 * rho,
+  is formed: ``snr_to_amplitude``, the layer weights of
+  ``operating_point_grid`` and the CLI's grid check and ``ber`` weights read
+  it.  Under this standard normalization the capacity, BPSK and QPSK curves all
   leave the origin with slope log2(e), and conventional BPSK's rho/R ratio
   approaches ln 2 = -1.59 dB, the usual low-rate power limit.  The equivalent
   per-stream SNRs, ``rho_bpsk`` for the first stream and ``rho_x`` for the
@@ -376,11 +379,17 @@ def rate_diff(w: WeightPair, sigma2: float) -> float:
     return rho_x(w, sigma2) * LOG2_E
 
 
+def signal_power(rho: float, sigma2: float) -> float:
+    """Signal power 2 * sigma2 * rho that gives received SNR rho against
+    N0 = 2 * sigma2; inf where the product overflows."""
+    return 2.0 * sigma2 * rho
+
+
 def snr_to_amplitude(rho: float, sigma2: float) -> float:
     """Amplitude whose power gives received SNR rho against N0 = 2 * sigma2."""
     if not math.isfinite(rho) or rho < 0.0:
         raise ValueError(f"rho must be a finite number >= 0, got {rho!r}")
-    return math.sqrt(2.0 * _check_sigma2(sigma2) * rho)
+    return math.sqrt(signal_power(rho, _check_sigma2(sigma2)))
 
 
 def bpsk_rate_at_snr(rho: float, sigma2: float = 1.0) -> float:
@@ -465,7 +474,7 @@ def operating_point_grid(rhos, sigma2: float, ratio: float | None = None, *,
                          exact_mi: bool = True) -> list[OperatingPoint]:
     """Evaluate the baselines at each received SNR rho and, given an
     alpha/beta ratio, the layered scheme at the same average power as
-    conventional BPSK, ``weights_from_ratio(ratio, 2 * sigma2 * rho)``.
+    conventional BPSK, ``weights_from_ratio(ratio, signal_power(rho, sigma2))``.
 
     Every BPSK rate of the grid is evaluated in one ``bpsk_rate_grid`` call
     and every exact MI in one ``exact_mi_grid`` call: per point the two
@@ -479,7 +488,7 @@ def operating_point_grid(rhos, sigma2: float, ratio: float | None = None, *,
     amplitudes += [math.sqrt(sigma2 * rho) for rho in rhos]  # QPSK's per-axis amplitude
     weights = []
     if ratio is not None:
-        weights = [weights_from_ratio(ratio, 2.0 * sigma2 * rho) for rho in rhos]
+        weights = [weights_from_ratio(ratio, signal_power(rho, sigma2)) for rho in rhos]
         amplitudes += [a for w in weights for a in _stream_amplitudes(w)]
     rates = bpsk_rate_grid(amplitudes, sigma2)
     n = len(rhos)

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import layered_bpsk
-from layered_bpsk.cli import _NUMERIC_FLAGS, MAX_GRID_POINTS, SweepSpec, main
+from layered_bpsk.cli import _NUMERIC_FLAGS, MAX_GRID_POINTS, _grid_db, main
 from layered_bpsk.montecarlo import MAX_SYMBOLS, MAX_WORKERS
 from layered_bpsk.rates import LOG2_E
 
@@ -235,15 +236,20 @@ def test_negative_value_in_exponent_notation_reads_as_a_number(capsys, joined):
     assert out == expected
 
 
+GRID_COMMANDS = ["rate-sweep", "capacity-gap", "appendix", "ber"]
+
+
 class TestFailureModes:
-    def test_zero_step_rejected(self, capsys):
-        code, out, err = _run(capsys, "rate-sweep", "--step-db", "0")
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_zero_step_rejected(self, capsys, command):
+        code, out, err = _run(capsys, command, "--step-db", "0")
         assert code == 1
         assert out == ""
         assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
 
-    def test_min_above_max_rejected(self, capsys):
-        code, _, err = _run(capsys, "rate-sweep", "--min-db", "5", "--max-db", "0")
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_min_above_max_rejected(self, capsys, command):
+        code, _, err = _run(capsys, command, "--min-db", "5", "--max-db", "0")
         assert code == 1 and "min-db" in err
 
     def test_bad_ratio_rejected(self, capsys):
@@ -251,8 +257,9 @@ class TestFailureModes:
                             "--min-db", "0", "--max-db", "1", "--step-db", "1")
         assert code == 1 and "ratio" in err
 
-    def test_bad_sigma2_rejected(self, capsys):
-        code, _, err = _run(capsys, "rate-sweep", "--sigma2", "0",
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_bad_sigma2_rejected(self, capsys, command):
+        code, _, err = _run(capsys, command, "--sigma2", "0",
                             "--min-db", "0", "--max-db", "1", "--step-db", "1")
         assert code == 1 and "sigma2" in err
 
@@ -284,6 +291,9 @@ class TestFailureModes:
         (("ber", "--mode", "foo"), "--mode"),
         (("rate-sweep", "--bogus"), "--bogus"),
         ((), "command"),
+        # 2 * sigma2 * rho overflows at the top end; appendix has no weights.
+        (("appendix", "--min-db", "2999", "--max-db", "3000", "--sigma2", "1e300"),
+         "--sigma2"),
     ])
     def test_out_of_range_input_is_one_line_error(self, capsys, argv, flag):
         code, out, err = _run(capsys, *argv)
@@ -307,6 +317,17 @@ class TestFailureModes:
         assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
         assert "--max-db" in err and "--sigma2" in err
 
+    @pytest.mark.parametrize("argv, values", [
+        (("capacity-gap", "--min-db", "2999", "--max-db", "3000", "--sigma2", "1e300",
+          "--ratio", "1.0000000000001"), ("1.0000000000001", "1e+300")),
+        (("rate-sweep", "--min-db", "-2998.0078125", "--max-db", "-2997",
+          "--ratio", "1.23456789e149"), ("1.23456789e+149", "-2998.0078125")),
+    ])
+    def test_weights_error_prints_the_values_in_full(self, capsys, argv, values):
+        code, _, err = _run(capsys, *argv)
+        assert code == 1 and err.count("\n") == 1
+        assert all(value in err for value in values)
+
     def test_appendix_builds_no_layered_weights(self, capsys):
         code, out, _ = _run(capsys, "appendix", "--min-db", "-3000", "--max-db", "-2999",
                             "--sigma2", "1e-300")
@@ -325,13 +346,14 @@ class TestFailureModes:
     def test_grid_cap_is_inclusive(self):
         step = 2.0**-7  # exact in binary, so the point count is exact too
 
-        def spec(points):
-            return SweepSpec(axis="snr_db", min_db=0.0, max_db=points * step, step_db=step,
-                             ratios=(2.0,), sigma2=1.0)
+        def grid(points):
+            args = argparse.Namespace(min_db=0.0, max_db=points * step, step_db=step,
+                                      sigma2=1.0)
+            return _grid_db(args, (2.0,))
 
-        assert len(spec(MAX_GRID_POINTS).grid_db()) == MAX_GRID_POINTS
+        assert len(grid(MAX_GRID_POINTS)) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="grid"):
-            spec(MAX_GRID_POINTS + 1)
+            grid(MAX_GRID_POINTS + 1)
 
 
 def test_numeric_flags_are_options_of_the_parser(capsys):
