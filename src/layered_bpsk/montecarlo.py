@@ -1,10 +1,10 @@
 """Seeded link-level simulation: BER counting and plug-in entropy estimates.
 
 Work is partitioned into fixed-size chunks of symbol indices; chunk ``k`` owns
-``NoiseStream(seed, stream_id=k)`` for all of its randomness, and results are
-reduced in chunk order.  Because the partition depends only on ``n_symbols``,
-reports are bit-identical for any worker count.  The ``workers`` field merely
-parallelizes chunk execution.
+``NoiseStream(seed, stream_id=k)`` for all of its randomness and returns one
+array of totals; the arrays are added in chunk order.  Because the partition
+depends only on ``n_symbols``, reports are bit-identical for any worker
+count.  The ``workers`` field merely parallelizes chunk execution.
 
 One kernel simulates one or two axes at a list of grid points.  Each chunk
 draws every axis's bits as two ``integers(0, 2, dtype=int64)`` arrays, x then
@@ -129,19 +129,11 @@ def ber_predictions_1d(w: WeightPair, spec: NoiseSpec, mode: str) -> tuple[float
     return pair_ber(w.sign_pair), ber_x
 
 
-def _chunk_sizes(n: int) -> list[int]:
-    return [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
-
-
-def _run_chunks(cfg: SimConfig, chunk_fn):
-    """Run chunk_fn(stream_id, size) over the fixed partition, reduce in order."""
-    sizes = _chunk_sizes(cfg.n_symbols)
-    if cfg.workers == 1:
-        parts = [chunk_fn(k, size) for k, size in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(chunk_fn, range(len(sizes)), sizes))
-    return [sum(component) for component in zip(*parts)]
+def _run_chunks(cfg: SimConfig, chunk_fn) -> np.ndarray:
+    """Run chunk_fn(stream_id, size) over the fixed partition; add its arrays in order."""
+    sizes = [min(_CHUNK, cfg.n_symbols - start) for start in range(0, cfg.n_symbols, _CHUNK)]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return sum(pool.map(chunk_fn, range(len(sizes)), sizes))
 
 
 def _draw_axis(generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,11 +142,12 @@ def _draw_axis(generator, n: int) -> tuple[np.ndarray, np.ndarray]:
             generator.integers(0, 2, size=n, dtype=np.int64))
 
 
-def _entropy_sums(neg_log2_p: np.ndarray) -> tuple[float, float]:
-    return float(neg_log2_p.sum()), float((neg_log2_p * neg_log2_p).sum())
+def _entropy_sums(neg_log2_p: np.ndarray) -> np.ndarray:
+    return np.array([neg_log2_p.sum(), (neg_log2_p * neg_log2_p).sum()])
 
 
-def _entropy_stats(ent_sum: float, ent_sumsq: float, n: int) -> tuple[float, float]:
+def _entropy_stats(sums: Sequence[float], n: int) -> tuple[float, float]:
+    ent_sum, ent_sumsq = sums
     mean = ent_sum / n
     variance = max(ent_sumsq / n - mean * mean, 0.0) * n / (n - 1)
     return mean, math.sqrt(variance / n)
@@ -180,6 +173,10 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]],
     counts.  z and x errors are counted separately against the transmitted
     bits; in genie-aided mode the second stage subtracts the true z instead
     of the decision, isolating error propagation.
+
+    A chunk returns an array of shape (points, axes + 1, 2): per point, each
+    axis's (z errors, x errors), then the entropy sum and sum of squares
+    (zeros with ``entropy=False``).  float64 adds these counts exactly.
     """
     if not points:
         return []
@@ -200,30 +197,26 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]],
         del drawn, x01, z01
         noise = [noise_real(size, stream) for _ in range(axes)]
         y = np.empty(size)
-        sums = ()
-        for point, point_tables in zip(points, tables):
+        totals = np.zeros((len(points), axes + 1, 2))
+        for point, point_tables, total in zip(points, tables, totals):
             neg_log2_p = 0.0  # -a - b, rounded as the digest in tests/test_golden.py pins
-            for w, table, (index, x, z), n in zip(point, point_tables, sent, noise):
+            for w, table, (index, x, z), n, slot in zip(point, point_tables, sent, noise, total):
                 # mode="clip" lets take write into y unbuffered; indices are 0..3.
                 np.add(table.take(index, out=y, mode="clip"), n, out=y)
-                sums += _count_errors(y, w.beta, x, z, genie)
+                slot[:] = _count_errors(y, w.beta, x, z, genie)
                 if entropy:
                     neg_log2_p = neg_log2_p - np.log2(layered_pdf(y, w, sigma2))
             if entropy:
-                sums += _entropy_sums(neg_log2_p)
-        return sums
+                total[axes] = _entropy_sums(neg_log2_p)
+        return totals
 
-    sums = _run_chunks(cfg, chunk)
-    n, width = cfg.n_symbols, 2 * axes
-    stride = width + 2 if entropy else width
+    n = cfg.n_symbols
     reports = []
-    for start in range(0, len(sums), stride):
-        counts = sums[start:start + width]
-        stats = (_entropy_stats(*sums[start + width:start + stride], n) if entropy
-                 else (None, None))
+    for row in _run_chunks(cfg, chunk).tolist():
+        mean, std_error = _entropy_stats(row[axes], n) if entropy else (None, None)
         reports.append(SimReport(n_symbols=n, seed=cfg.seed, mode=cfg.mode,
-                                 errors=tuple(zip(counts[::2], counts[1::2])),
-                                 empirical_entropy=stats[0], entropy_std_error=stats[1]))
+                                 errors=tuple((int(z), int(x)) for z, x in row[:axes]),
+                                 empirical_entropy=mean, entropy_std_error=std_error))
     return reports
 
 
@@ -290,7 +283,6 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
         y = awgn_real(amplitude * (2 * x01 - 1), stream)
         return _entropy_sums(-np.log2(mixture_pdf(y, amplitude, sigma2)))
 
-    ent_sum, ent_sumsq = _run_chunks(cfg, chunk)
-    mean, std_error = _entropy_stats(ent_sum, ent_sumsq, cfg.n_symbols)
+    mean, std_error = _entropy_stats(_run_chunks(cfg, chunk).tolist(), cfg.n_symbols)
     return EntropyEstimate(mean, std_error, cfg.n_symbols)
 

@@ -19,8 +19,8 @@ Two SNR normalizations coexist here and are kept explicit throughout:
   approaches ln 2 = -1.59 dB, the usual low-rate power limit.  The equivalent
   per-stream SNRs, ``rho_bpsk`` for the first stream and ``rho_x`` for the
   second, are plain power/sigma2 arithmetic in whatever normalization the
-  caller passes; ``ebn0_1d`` and ``ebn0_2d`` pass ``2 * sigma2`` so their
-  first-order rate predictions line up with the integral rates.
+  caller passes; ``ebn0_1d`` and ``ebn0_2d`` take them against N0 = 2 * sigma2
+  so their first-order rate predictions line up with the integral rates.
 
 Every mutual information, BPSK's included, is that of equiprobable real
 points, a Gaussian expectation over the normalized noise t ~ N(0, 1)
@@ -381,8 +381,9 @@ def rate_diff(w: WeightPair, sigma2: float) -> float:
 
 def signal_power(rho: float, sigma2: float) -> float:
     """Signal power 2 * sigma2 * rho that gives received SNR rho against
-    N0 = 2 * sigma2; inf where the product overflows."""
-    return 2.0 * sigma2 * rho
+    N0 = 2 * sigma2.  Doubled last, which is exact, so it is inf only where
+    the power itself overflows, not wherever 2 * sigma2 does."""
+    return 2.0 * (sigma2 * rho)
 
 
 def snr_to_amplitude(rho: float, sigma2: float) -> float:
@@ -427,9 +428,12 @@ def _nonzero_rate(rate: float) -> float:
 
 
 def _n0_energy(w: WeightPair, sigma2: float) -> float:
-    """rho_z + rho_x of one axis against the total noise power N0 = 2 * sigma2."""
-    n0 = 2.0 * sigma2
-    return rho_bpsk(w, n0) + rho_x(w, n0)
+    """rho_z + rho_x of one axis against N0 = 2 * sigma2.  Each power is
+    halved before it is divided by sigma2, which is exact unless the power is
+    subnormal, so neither a sigma2 nor a power above half the float range
+    overflows where the result is finite."""
+    sigma2 = _check_sigma2(sigma2)
+    return 0.5 * w.average_power() / sigma2 + 0.5 * mean_power(w.residual_pair) / sigma2
 
 
 def ebn0_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:

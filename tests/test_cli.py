@@ -317,6 +317,16 @@ class TestFailureModes:
         assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
         assert "--max-db" in err and "--sigma2" in err
 
+    @pytest.mark.parametrize("command", ["rate-sweep", "capacity-gap", "appendix"])
+    def test_sigma2_above_half_the_float_range_keeps_the_bytes(self, capsys, command):
+        # 2 * sigma2 overflows, but the power 2 * sigma2 * rho = 2e298 at -100 dB
+        # does not.  The printed rates depend on rho alone, not on sigma2.
+        grid = ("--min-db", "-100", "--max-db", "-99")
+        code, reference, _ = _run(capsys, command, *grid, "--sigma2", "1")
+        assert code == 0
+        code, out, err = _run(capsys, command, *grid, "--sigma2", "1e308")
+        assert (code, err) == (0, "") and out == reference
+
     @pytest.mark.parametrize("argv, values", [
         (("capacity-gap", "--min-db", "2999", "--max-db", "3000", "--sigma2", "1e300",
           "--ratio", "1.0000000000001"), ("1.0000000000001", "1e+300")),

@@ -380,6 +380,8 @@ class TestClosedForms:
     def test_snr_to_amplitude(self):
         assert snr_to_amplitude(0.0, 1.0) == 0.0
         assert snr_to_amplitude(2.0, 1.0) == 2.0  # power 4 against N0 = 2
+        # 2 * sigma2 alone overflows; the power 2e298 does not.
+        assert snr_to_amplitude(1e-10, 1e308) == pytest.approx(math.sqrt(2e298))
 
 
 class TestSnrDomain:
@@ -439,6 +441,15 @@ class TestEbN0:
         monkeypatch.setattr("layered_bpsk.rates.rate_2d", lambda *a, **k: 0.0)
         with pytest.raises(ValueError, match="Eb/N0 undefined"):
             ebn0_2d(W21, W21, 1.0)
+
+    def test_power_near_the_float_range_stays_finite(self):
+        # rho_z + rho_x against sigma2 = 0.6 is about 2.8e308, past the float
+        # range, but against N0 = 1.2 it is finite: each power is halved
+        # before it is divided by sigma2.
+        w = WeightPair(1.3e154, 1e152)
+        expected = (rho_bpsk(w, 1.2) + rho_x(w, 1.2)) / rate_1d(w, 0.6)
+        assert math.isfinite(expected)
+        assert ebn0_1d(w, 0.6) == expected
 
     def test_approaches_low_rate_floor(self):
         # Near zero SNR the layered scheme's Eb/N0 approaches ln 2 as well.
