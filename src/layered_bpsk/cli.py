@@ -185,7 +185,7 @@ def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
     weights = [weights_from_ratio(ratio, signal_power(_rho(snr_db), args.sigma2))
                for snr_db in grid]
     rows = []
-    for snr_db, w, report in zip(grid, weights, sweep_1d(base, weights, entropy=False)):
+    for snr_db, w, report in zip(grid, weights, sweep_1d(base, weights)):
         ber_z, ber_x = report.ber(0)
         pred_z, pred_x = ber_predictions_1d(w, spec, args.mode)
         rows.append([_fmt(snr_db), args.mode, _fmt(ber_z), _fmt(ber_x),

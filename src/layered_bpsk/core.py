@@ -128,21 +128,18 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Monte Carlo outcome of ``n_symbols`` symbols per axis.
+    """Monte Carlo error counts of ``n_symbols`` symbols per axis.
 
     ``errors`` holds one (z errors, x errors) pair per simulated axis, the
     real axis first.  The bit error rates and their 3-sigma binomial
-    confidence radii are derived from the counts.  ``empirical_entropy`` is
-    the plug-in estimate of the received signal entropy in bits with its
-    standard error; both are None when the simulation skipped the estimate.
+    confidence radii are derived from the counts.  The received-signal
+    entropy is a separate pass, ``montecarlo.empirical_entropy``.
     """
 
     n_symbols: int
     seed: int
     mode: str
     errors: tuple[tuple[int, int], ...]
-    empirical_entropy: float | None
-    entropy_std_error: float | None
 
     def __post_init__(self):
         for axis, pair in enumerate(self.errors):

@@ -3,22 +3,24 @@
 Work is partitioned into fixed-size chunks of symbol indices; chunk ``k`` owns
 ``NoiseStream(seed, stream_id=k)`` for all of its randomness and returns one
 array of totals; the arrays are added in chunk order.  Because the partition
-depends only on ``n_symbols``, reports are bit-identical for any worker
+depends only on ``n_symbols``, results are bit-identical for any worker
 count.  The ``workers`` field merely parallelizes chunk execution.
 
-One kernel simulates one or two axes at a list of grid points.  Each chunk
-draws every axis's bits as two ``integers(0, 2, dtype=int64)`` arrays, x then
-z, axis after axis (real axis first), and then every axis's noise through
+Every chunk draws through :func:`_draw`: each axis's bits as two
+``integers(0, 2, dtype=int64)`` arrays, x then z, axis after axis (real axis
+first), and then each axis's noise through
 :func:`layered_bpsk.channel.noise_real` in the same order.  That order and
-dtype fix the random stream, and with it every CSV byte ``ber`` prints.  The
-draws are made once per chunk and shared by all grid points (common random
-numbers): each point only looks its symbols up in its
+dtype fix the random stream, and with it every CSV byte ``ber`` prints.
+
+Two passes run on those draws, each with one estimator.  The BER kernel
+simulates one or two axes at a list of grid points and only counts errors.
+Its draws are made once per chunk and shared by all grid points (common
+random numbers): each point only looks its symbols up in its
 :func:`layered_bpsk.modem.amplitude_table`, adds the noise, decides with
 :func:`layered_bpsk.modem.decide` and counts.  Point k of :func:`sweep_1d`
 therefore reports exactly what :func:`simulate_1d` reports at its weights,
-and ``ber`` runs its whole grid in one sweep.  The plug-in entropy costs more
-per symbol than the rest of a point's work, so ``entropy=False`` skips it;
-the ``ber`` command does.
+and ``ber`` runs its whole grid in one sweep.  :func:`empirical_entropy`
+alone estimates the received-signal entropy, on the draws of one axis.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseStream, awgn_real, noise_real
+from .channel import NoiseStream, noise_real
 from .core import NoiseSpec, SimReport, WeightPair
 from .modem import amplitude_table, decide, symbol_index
 from .rates import layered_pdf, mixture_pdf
@@ -130,27 +132,32 @@ def ber_predictions_1d(w: WeightPair, spec: NoiseSpec, mode: str) -> tuple[float
 
 
 def _run_chunks(cfg: SimConfig, chunk_fn) -> np.ndarray:
-    """Run chunk_fn(stream_id, size) over the fixed partition; add its arrays in order."""
+    """Run chunk_fn(stream, size) over the fixed partition, chunk k on
+    ``NoiseStream(cfg.seed, k)``; add its arrays in chunk order."""
     sizes = [min(_CHUNK, cfg.n_symbols - start) for start in range(0, cfg.n_symbols, _CHUNK)]
+
+    def run(stream_id: int, size: int) -> np.ndarray:
+        return chunk_fn(NoiseStream(cfg.seed, stream_id, cfg.spec), size)
+
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return sum(pool.map(chunk_fn, range(len(sizes)), sizes))
+        return sum(pool.map(run, range(len(sizes)), sizes))
 
 
-def _draw_axis(generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One axis's bits as 0/1 draws, x then z; 1 stands for the bit +1."""
-    return (generator.integers(0, 2, size=n, dtype=np.int64),
-            generator.integers(0, 2, size=n, dtype=np.int64))
+def _draw(stream: NoiseStream, size: int, axes: int):
+    """One chunk's symbols and noise on ``axes`` axes, in the module's draw order.
 
-
-def _entropy_sums(neg_log2_p: np.ndarray) -> np.ndarray:
-    return np.array([neg_log2_p.sum(), (neg_log2_p * neg_log2_p).sum()])
-
-
-def _entropy_stats(sums: Sequence[float], n: int) -> tuple[float, float]:
-    ent_sum, ent_sumsq = sums
-    mean = ent_sum / n
-    variance = max(ent_sumsq / n - mean * mean, 0.0) * n / (n - 1)
-    return mean, math.sqrt(variance / n)
+    Returns a list of (index, x, z) per axis, with the
+    :func:`layered_bpsk.modem.symbol_index` written over the x draw and x, z
+    boolean (True for +1), and a list of each axis's noise.
+    """
+    sent = []
+    for _ in range(axes):
+        x01 = stream.generator.integers(0, 2, size=size, dtype=np.int64)
+        z01 = stream.generator.integers(0, 2, size=size, dtype=np.int64)
+        x, z = x01.astype(bool), z01.astype(bool)
+        sent.append((symbol_index(x01, z01, out=x01), x, z))
+    del x01, z01  # the z draw goes before the noise is drawn
+    return sent, [noise_real(size, stream) for _ in range(axes)]
 
 
 def _count_errors(y: np.ndarray, beta: float, x: np.ndarray, z: np.ndarray,
@@ -164,8 +171,7 @@ def _count_errors(y: np.ndarray, beta: float, x: np.ndarray, z: np.ndarray,
     return int(np.count_nonzero(z_hat != z)), int(np.count_nonzero(x_hat != x))
 
 
-def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]],
-              entropy: bool) -> list[SimReport]:
+def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[SimReport]:
     """The layered scheme at each of ``points``, one WeightPair per axis.
 
     Every point runs on the same bits and noise: a chunk draws them once,
@@ -174,70 +180,45 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]],
     bits; in genie-aided mode the second stage subtracts the true z instead
     of the decision, isolating error propagation.
 
-    A chunk returns an array of shape (points, axes + 1, 2): per point, each
-    axis's (z errors, x errors), then the entropy sum and sum of squares
-    (zeros with ``entropy=False``).  float64 adds these counts exactly.
+    A chunk returns an array of shape (points, axes, 2), each axis's
+    (z errors, x errors) per point.  float64 adds these counts exactly.
     """
     if not points:
         return []
     axes = len(points[0])
-    sigma2 = cfg.spec.sigma2
     genie = cfg.mode == GENIE_AIDED
     tables = [[amplitude_table(w) for w in point] for point in points]
 
-    def chunk(stream_id: int, size: int):
-        stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
-        drawn = [_draw_axis(stream.generator, size) for _ in range(axes)]
-        # Each axis keeps one index array, written over its x draw, and its
-        # boolean bits; the z draw goes.
-        sent = []
-        for x01, z01 in drawn:
-            x, z = x01.astype(bool), z01.astype(bool)
-            sent.append((symbol_index(x01, z01, out=x01), x, z))
-        del drawn, x01, z01
-        noise = [noise_real(size, stream) for _ in range(axes)]
+    def chunk(stream: NoiseStream, size: int) -> np.ndarray:
+        sent, noise = _draw(stream, size, axes)
         y = np.empty(size)
-        totals = np.zeros((len(points), axes + 1, 2))
-        for point, point_tables, total in zip(points, tables, totals):
-            neg_log2_p = 0.0  # -a - b, rounded as the digest in tests/test_golden.py pins
-            for w, table, (index, x, z), n, slot in zip(point, point_tables, sent, noise, total):
+        counts = np.zeros((len(points), axes, 2))
+        for point, point_tables, point_counts in zip(points, tables, counts):
+            for w, table, (index, x, z), n, slot in zip(point, point_tables, sent, noise,
+                                                        point_counts):
                 # mode="clip" lets take write into y unbuffered; indices are 0..3.
                 np.add(table.take(index, out=y, mode="clip"), n, out=y)
                 slot[:] = _count_errors(y, w.beta, x, z, genie)
-                if entropy:
-                    neg_log2_p = neg_log2_p - np.log2(layered_pdf(y, w, sigma2))
-            if entropy:
-                total[axes] = _entropy_sums(neg_log2_p)
-        return totals
+        return counts
 
-    n = cfg.n_symbols
-    reports = []
-    for row in _run_chunks(cfg, chunk).tolist():
-        mean, std_error = _entropy_stats(row[axes], n) if entropy else (None, None)
-        reports.append(SimReport(n_symbols=n, seed=cfg.seed, mode=cfg.mode,
-                                 errors=tuple((int(z), int(x)) for z, x in row[:axes]),
-                                 empirical_entropy=mean, entropy_std_error=std_error))
-    return reports
+    return [SimReport(n_symbols=cfg.n_symbols, seed=cfg.seed, mode=cfg.mode,
+                      errors=tuple((int(z), int(x)) for z, x in row))
+            for row in _run_chunks(cfg, chunk).tolist()]
 
 
-def sweep_1d(cfg: SimConfig, weights: Sequence[WeightPair],
-             entropy: bool = True) -> list[SimReport]:
+def sweep_1d(cfg: SimConfig, weights: Sequence[WeightPair]) -> list[SimReport]:
     """``simulate_1d`` at each entry of ``weights`` in place of ``cfg.w``.
 
     All points share each chunk's bits and noise (common random numbers),
-    so report k equals ``simulate_1d(replace(cfg, w=weights[k]), entropy)``
-    field for field, at a fraction of the cost of running them one by one.
+    so report k equals ``simulate_1d(replace(cfg, w=weights[k]))`` field for
+    field, at a fraction of the cost of running them one by one.
     """
-    return _simulate(cfg, [(w,) for w in weights], entropy)
+    return _simulate(cfg, [(w,) for w in weights])
 
 
-def simulate_1d(cfg: SimConfig, entropy: bool = True) -> SimReport:
-    """Simulate the one-dimensional layered scheme end to end.
-
-    With ``entropy=False`` the plug-in entropy is skipped and its report
-    fields are None; the error counts are the same either way.
-    """
-    return sweep_1d(cfg, [cfg.w], entropy)[0]
+def simulate_1d(cfg: SimConfig) -> SimReport:
+    """Simulate the one-dimensional layered scheme end to end."""
+    return sweep_1d(cfg, [cfg.w])[0]
 
 
 def simulate_2d(cfg: SimConfig) -> SimReport:
@@ -248,7 +229,7 @@ def simulate_2d(cfg: SimConfig) -> SimReport:
     """
     if cfg.wp is None:
         raise ValueError("simulate_2d requires cfg.wp for the imaginary axis")
-    return _simulate(cfg, [(cfg.w, cfg.wp)], True)[0]
+    return _simulate(cfg, [(cfg.w, cfg.wp)])[0]
 
 
 @dataclass(frozen=True)
@@ -266,23 +247,24 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
     With ``amplitude=None`` the samples come from the layered 1-D scheme and
     p is its four-point mixture density.  Passing an amplitude simulates
     plain antipodal signalling at that amplitude instead (0 gives pure
-    noise), with p the matching two-point mixture.
+    noise), with p the matching two-point mixture.  Either way a chunk draws
+    what :func:`simulate_1d` draws; the antipodal sign is the z bit.
     """
     if amplitude is None:
-        report = simulate_1d(cfg, entropy=True)
-        return EntropyEstimate(report.empirical_entropy, report.entropy_std_error,
-                               cfg.n_symbols)
+        table, density, shape = amplitude_table(cfg.w), layered_pdf, cfg.w
+    else:
+        if not math.isfinite(amplitude) or amplitude < 0.0:
+            raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
+        # By symbol index 2*x + z, so the z bit is the sign.
+        table, density, shape = np.array([-amplitude, amplitude] * 2), mixture_pdf, amplitude
 
-    if not math.isfinite(amplitude) or amplitude < 0.0:
-        raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
-    sigma2 = cfg.spec.sigma2
+    def chunk(stream: NoiseStream, size: int) -> np.ndarray:
+        [(index, _, _)], [noise] = _draw(stream, size, 1)
+        neg_log2_p = -np.log2(density(table[index] + noise, shape, cfg.spec.sigma2))
+        return np.array([neg_log2_p.sum(), (neg_log2_p * neg_log2_p).sum()])
 
-    def chunk(stream_id: int, size: int):
-        stream = NoiseStream(cfg.seed, stream_id, cfg.spec)
-        x01 = stream.generator.integers(0, 2, size=size, dtype=np.int64)
-        y = awgn_real(amplitude * (2 * x01 - 1), stream)
-        return _entropy_sums(-np.log2(mixture_pdf(y, amplitude, sigma2)))
-
-    mean, std_error = _entropy_stats(_run_chunks(cfg, chunk).tolist(), cfg.n_symbols)
-    return EntropyEstimate(mean, std_error, cfg.n_symbols)
-
+    n = cfg.n_symbols
+    ent_sum, ent_sumsq = _run_chunks(cfg, chunk).tolist()
+    mean = ent_sum / n
+    variance = max(ent_sumsq / n - mean * mean, 0.0) * n / (n - 1)
+    return EntropyEstimate(mean, math.sqrt(variance / n), n)

@@ -439,11 +439,12 @@ def _n0_energy(w: WeightPair, sigma2: float) -> float:
 def ebn0_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
     """Energy-per-bit over N0 for the two-dimensional scheme.
 
-    Sums both axes' SNR terms over the doubled rate; equals ebn0_1d exactly
-    when both axes use the same weights.
+    Sums both axes' SNR terms over the doubled rate, each divided by the
+    rate before they are added, so the sum overflows only where the result
+    does; equals ebn0_1d exactly when both axes use the same weights.
     """
     r2 = _nonzero_rate(rate_2d(w, wp, sigma2))
-    return (_n0_energy(w, sigma2) + _n0_energy(wp, sigma2)) / r2
+    return _n0_energy(w, sigma2) / r2 + _n0_energy(wp, sigma2) / r2
 
 
 def to_db(ratio: float) -> float:

@@ -14,7 +14,7 @@ import time
 from layered_bpsk.cli import main
 from layered_bpsk.core import Bit, NoiseSpec, WeightPair, weights_from_ratio
 from layered_bpsk.modem import demod_1d, demod_2d, encode_1d, encode_2d
-from layered_bpsk.montecarlo import GENIE_AIDED, SimConfig, qfunc, simulate_1d
+from layered_bpsk.montecarlo import GENIE_AIDED, SimConfig, empirical_entropy, qfunc, simulate_1d
 from layered_bpsk.rates import (
     LOG2_E,
     bpsk_rate,
@@ -156,12 +156,13 @@ def test_criterion_7_monte_carlo_cross_validation():
     w = WeightPair(2.0, 1.0)
     spec = NoiseSpec(1.0)
     n = 1_000_000
-    report = simulate_1d(SimConfig(n_symbols=n, w=w, spec=spec, seed=42424242,
-                                   mode=GENIE_AIDED))
+    cfg = SimConfig(n_symbols=n, w=w, spec=spec, seed=42424242, mode=GENIE_AIDED)
+    report = simulate_1d(cfg)
+    estimate = empirical_entropy(cfg)
 
     entropy_ref = received_entropy_layered(w, spec.sigma2)
-    entropy_dev = abs(report.empirical_entropy - entropy_ref)
-    entropy_ok = entropy_dev <= 3.0 * report.entropy_std_error
+    entropy_dev = abs(estimate.bits - entropy_ref)
+    entropy_ok = entropy_dev <= 3.0 * estimate.std_error
 
     pred_z = 0.5 * qfunc(2.0) + 0.5 * qfunc(0.5)
     pred_x = 0.5 * qfunc(1.0) + 0.5 * qfunc(0.5)
@@ -173,7 +174,7 @@ def test_criterion_7_monte_carlo_cross_validation():
 
     elapsed = time.perf_counter() - start
     ok = entropy_ok and anchors_ok and ber_ok and elapsed < 10.0
-    _report(7, ok, f"entropy dev {entropy_dev:.2e} <= 3se={3*report.entropy_std_error:.2e}; "
+    _report(7, ok, f"entropy dev {entropy_dev:.2e} <= 3se={3*estimate.std_error:.2e}; "
                    f"ber devs {dev_z:.2f} / {dev_x:.2f} sigma <= 3; {elapsed:.2f}s < 10s")
 
 

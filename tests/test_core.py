@@ -126,7 +126,7 @@ class TestNoiseSpec:
 class TestSimReport:
     def _kwargs(self, **overrides):
         base = dict(n_symbols=10_000, seed=1, mode="genie-aided",
-                    errors=((10, 20),), empirical_entropy=2.0, entropy_std_error=0.001)
+                    errors=((10, 20),))
         base.update(overrides)
         return base
 

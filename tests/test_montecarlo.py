@@ -15,7 +15,7 @@ from layered_bpsk.montecarlo import (
     MAX_WORKERS,
     SimConfig,
     _CHUNK,
-    _draw_axis,
+    _draw,
     ber_predictions_1d,
     empirical_entropy,
     qfunc,
@@ -23,7 +23,7 @@ from layered_bpsk.montecarlo import (
     simulate_2d,
     sweep_1d,
 )
-from layered_bpsk.rates import gaussian_entropy, rate_z, received_entropy_layered
+from layered_bpsk.rates import bpsk_rate, gaussian_entropy, rate_z, received_entropy_layered
 
 from oracles import binary_entropy, trapezoid_ber_x_decision_feedback
 
@@ -89,15 +89,22 @@ class TestConfigValidation:
             simulate_2d(_cfg(n_symbols=10_000))
 
 
-class TestVectorizedPathMatchesScalarModem:
-    def test_bit_source_is_antipodal(self):
-        # x then z, each one int64 draw from {0, 1}: the stream every golden
-        # ber digest depends on.
-        x01, z01 = _draw_axis(np.random.default_rng(5), 1000)
-        reference = np.random.default_rng(5)
-        assert np.array_equal(x01, reference.integers(0, 2, size=1000, dtype=np.int64))
-        assert np.array_equal(z01, reference.integers(0, 2, size=1000, dtype=np.int64))
-        assert set(np.unique(np.concatenate([x01, z01]))) == {0, 1}
+class TestDraw:
+    @pytest.mark.parametrize("axes", [1, 2])
+    def test_order_matches_reference_generator(self, axes):
+        # x0, z0 (then x1, z1), each one int64 draw from {0, 1}, then each
+        # axis's noise: the stream every golden ber digest depends on.
+        n, sigma2 = 1000, 0.25
+        sent, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
+        reference = np.random.default_rng((5, 3))
+        bits = [reference.integers(0, 2, size=n, dtype=np.int64) for _ in range(2 * axes)]
+        assert len(sent) == len(noise) == axes
+        for (index, x, z), x01, z01 in zip(sent, bits[0::2], bits[1::2]):
+            assert np.array_equal(index, 2 * x01 + z01)
+            assert np.array_equal(x, x01 == 1) and np.array_equal(z, z01 == 1)
+        for axis_noise in noise:
+            assert np.array_equal(axis_noise, reference.normal(0.0, math.sqrt(sigma2), size=n))
+        assert set(np.unique(bits)) == {0, 1}
 
 
 class TestSimulate1D:
@@ -132,7 +139,7 @@ class TestSimulate1D:
         z = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 2 * len(OPERATING_POINTS)))
         n = 400_000
         report = simulate_1d(_cfg(n_symbols=n, w=w, spec=NoiseSpec(sigma2),
-                                  mode=DECISION_FEEDBACK), entropy=False)
+                                  mode=DECISION_FEEDBACK))
         pred_z, pred_x = ber_predictions_1d(w, NoiseSpec(sigma2), DECISION_FEEDBACK)
         ber_z, ber_x = report.ber(0)
         assert abs(ber_z - pred_z) <= z * math.sqrt(pred_z * (1 - pred_z) / n)
@@ -152,17 +159,6 @@ class TestSimulate1D:
 
     def test_worker_count_does_not_change_report(self):
         assert simulate_1d(_cfg(workers=1)) == simulate_1d(_cfg(workers=3))
-
-    @pytest.mark.parametrize("mode", [DECISION_FEEDBACK, GENIE_AIDED])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_skipping_entropy_keeps_error_counts(self, mode, workers):
-        cfg = _cfg(n_symbols=300_000, mode=mode, workers=workers)
-        full = simulate_1d(cfg)
-        lean = simulate_1d(cfg, entropy=False)
-        assert full.empirical_entropy is not None
-        assert (lean.empirical_entropy, lean.entropy_std_error) == (None, None)
-        assert lean == dataclasses.replace(full, empirical_entropy=None,
-                                           entropy_std_error=None)
 
     def test_confidence_radius_formula(self):
         report = simulate_1d(_cfg(n_symbols=100_000))
@@ -185,14 +181,14 @@ class TestSweep1D:
             WeightPair(2.0, 1.0)]
 
     @pytest.mark.parametrize("mode", [DECISION_FEEDBACK, GENIE_AIDED])
-    @pytest.mark.parametrize("entropy", [True, False])
+    @pytest.mark.parametrize("reverse", [True, False])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_equals_one_simulation_per_point(self, mode, entropy, workers):
+    def test_equals_one_simulation_per_point(self, mode, reverse, workers):
+        # A point's report does not depend on its place in the grid.
         cfg = _cfg(n_symbols=self.N, mode=mode, workers=workers)
-        reports = sweep_1d(cfg, self.GRID, entropy=entropy)
-        assert reports == [simulate_1d(dataclasses.replace(cfg, w=w), entropy=entropy)
-                           for w in self.GRID]
-        assert (reports[0].empirical_entropy is None) is not entropy
+        grid = self.GRID[::-1] if reverse else self.GRID
+        assert sweep_1d(cfg, grid) == [simulate_1d(dataclasses.replace(cfg, w=w))
+                                       for w in grid]
 
     def test_empty_grid_gives_no_reports(self):
         assert sweep_1d(_cfg(n_symbols=self.N), []) == []
@@ -234,6 +230,12 @@ class TestEmpiricalEntropy:
     def test_layered_matches_quadrature(self):
         est = empirical_entropy(_cfg())
         expected = received_entropy_layered(W21, 1.0)
+        assert abs(est.bits - expected) <= 3.0 * est.std_error
+
+    def test_antipodal_matches_bpsk_rate(self):
+        # H(Y) = I(X; Y) + H(N) at a mid SNR, where neither end's limit holds.
+        est = empirical_entropy(_cfg(), amplitude=1.0)
+        expected = bpsk_rate(1.0, 1.0) + gaussian_entropy(1.0)
         assert abs(est.bits - expected) <= 3.0 * est.std_error
 
     def test_high_snr_antipodal_information_approaches_one_bit(self):

@@ -451,6 +451,14 @@ class TestEbN0:
         assert math.isfinite(expected)
         assert ebn0_1d(w, 0.6) == expected
 
+    def test_two_axes_near_the_float_range_stay_finite(self):
+        # Each axis's term is about 3.5e307 after division by the rate, so
+        # their sum is finite although the two energies add past the range.
+        w = WeightPair(1.3e154, 1e152)
+        assert ebn0_2d(w, w, 0.6) == ebn0_1d(w, 0.6) == 6.9878125e307
+        wp = WeightPair(1.2e154, 1e152)
+        assert math.isfinite(ebn0_2d(w, wp, 0.6))
+
     def test_approaches_low_rate_floor(self):
         # Near zero SNR the layered scheme's Eb/N0 approaches ln 2 as well.
         w = weights_from_ratio(2.0, 2e-4)
