@@ -11,8 +11,9 @@ runs the same construction on each axis.
 
 The encoder is :func:`amplitude_table` indexed by :func:`symbol_index`, and
 :func:`decide` is the receiver; both work on arrays of 0/1 bits, 1 standing
-for +1.  The simulator computes each chunk's symbol indices once and looks
-them up in every grid point's table.  The scalar functions on
+for +1.  The simulator computes each chunk's symbol indices once, sorts the
+noise of each index, and calls :func:`decide` once per region of equal
+decisions at every grid point.  The scalar functions on
 :class:`~layered_bpsk.core.Bit` values are thin calls of the same functions.
 
 Sign decisions at exactly zero resolve to +1: the event has measure zero

@@ -15,17 +15,21 @@ dtype fix the random stream, and with it every CSV byte ``ber`` prints.
 Two passes run on those draws, each with one estimator.  The BER kernel
 simulates one or two axes at a list of grid points and only counts errors.
 Its draws are made once per chunk and shared by all grid points (common
-random numbers): each point only looks its symbols up in its
-:func:`layered_bpsk.modem.amplitude_table`, adds the noise, decides with
-:func:`layered_bpsk.modem.decide` and counts.  Point k of :func:`sweep_1d`
-therefore reports exactly what :func:`simulate_1d` reports at its weights,
-and ``ber`` runs its whole grid in one sweep.  :func:`empirical_entropy`
-alone estimates the received-signal entropy, on the draws of one axis.
+random numbers), and it counts by thresholds, not symbol by symbol: a chunk
+splits the noise by symbol index and sorts each class once, and a binary
+search finds, for every grid point, how much of a class's noise lifts its
+amplitude past each level the receiver compares with.
+:func:`layered_bpsk.modem.decide` then decides once per region between
+those levels.  Point k of :func:`sweep_1d` therefore reports exactly what
+:func:`simulate_1d` reports at its weights, and ``ber`` runs its whole grid
+in one sweep.  :func:`empirical_entropy` alone estimates the received-signal
+entropy, on the draws of one axis.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,7 +47,8 @@ _MODES = (DECISION_FEEDBACK, GENIE_AIDED)
 
 MIN_SYMBOLS = 10_000
 # Largest symbol count of one run, about a minute of one worker's time at
-# roughly 55 ns per symbol; a larger count is far more likely a typo.
+# roughly 70 ns per symbol at one grid point; a larger count is far more
+# likely a typo.
 MAX_SYMBOLS = 10**9
 # Largest worker count.  Each running worker thread holds one chunk's arrays,
 # a few MB, and threads beyond the host's cores only wait their turn; a
@@ -146,64 +151,93 @@ def _run_chunks(cfg: SimConfig, chunk_fn) -> np.ndarray:
 def _draw(stream: NoiseStream, size: int, axes: int):
     """One chunk's symbols and noise on ``axes`` axes, in the module's draw order.
 
-    Returns a list of (index, x, z) per axis, with the
-    :func:`layered_bpsk.modem.symbol_index` written over the x draw and x, z
-    boolean (True for +1), and a list of each axis's noise.
+    Returns a list of each axis's :func:`layered_bpsk.modem.symbol_index`,
+    written over its x draw, and a list of each axis's noise.
     """
-    sent = []
+    def bits() -> np.ndarray:
+        return stream.generator.integers(0, 2, size=size, dtype=np.int64)
+
+    indices = []
     for _ in range(axes):
-        x01 = stream.generator.integers(0, 2, size=size, dtype=np.int64)
-        z01 = stream.generator.integers(0, 2, size=size, dtype=np.int64)
-        x, z = x01.astype(bool), z01.astype(bool)
-        sent.append((symbol_index(x01, z01, out=x01), x, z))
-    del x01, z01  # the z draw goes before the noise is drawn
-    return sent, [noise_real(size, stream) for _ in range(axes)]
+        x01 = bits()
+        indices.append(symbol_index(x01, bits(), out=x01))
+    return indices, [noise_real(size, stream) for _ in range(axes)]
 
 
-def _count_errors(y: np.ndarray, beta: float, x: np.ndarray, z: np.ndarray,
-                  genie: bool) -> tuple[int, int]:
-    """(z errors, x errors) of the receiver against the sent boolean bits.
+def _threshold(a: float, c: float) -> float:
+    """The least float n with fl(a + n) >= c, for finite a and c.
 
-    A function of its own, so the decisions are freed before the next grid
-    point allocates its own.
+    a + n rounds to c or above exactly when it lies above the midpoint of c
+    and the float below it, so the search starts at that midpoint less a,
+    which one fsum gives to within its last rounding.  Rounding is monotone,
+    so nextafter steps then make the threshold exact; it is +inf when no
+    finite n reaches c.
     """
-    z_hat, x_hat = decide(y, beta, z if genie else None)
-    return int(np.count_nonzero(z_hat != z)), int(np.count_nonzero(x_hat != x))
+    try:
+        n = math.fsum((0.5 * c, 0.5 * math.nextafter(c, -math.inf), -a))
+    except OverflowError:  # the midpoint lies beyond the float range, on the side of -a
+        n = math.copysign(sys.float_info.max, -a)
+    while a + n < c:
+        n = math.nextafter(n, math.inf)
+    while a + math.nextafter(n, -math.inf) >= c:
+        n = math.nextafter(n, -math.inf)
+    return n
+
+
+def _class_noise(noise: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
+    """The noise of the symbols with index ``k``, sorted."""
+    class_noise = np.compress(index == k, noise)
+    class_noise.sort()
+    return class_noise
+
+
+# The (x, z) bits of symbol index k = 2*x + z, True for +1.
+_X_BITS, _Z_BITS = (bits == 1 for bits in np.divmod(np.arange(4), 2))
 
 
 def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[SimReport]:
     """The layered scheme at each of ``points``, one WeightPair per axis.
 
-    Every point runs on the same bits and noise: a chunk draws them once,
-    and each point only looks up its amplitudes, adds the noise, decides and
-    counts.  z and x errors are counted separately against the transmitted
-    bits; in genie-aided mode the second stage subtracts the true z instead
-    of the decision, isolating error propagation.
-
-    A chunk returns an array of shape (points, axes, 2), each axis's
-    (z errors, x errors) per point.  float64 adds these counts exactly.
+    Every point runs on the same bits and noise, counted by thresholds.
+    Class k of a point, the symbols sent at a = ``amplitude_table(w)[k]``,
+    receives y = fl(a + n) for noise n, and the receiver only compares y
+    with -beta, 0 and beta.  ``_threshold(a, c)`` is the least noise with
+    y >= c, so the class's noise below its three thresholds splits into four
+    regions, each of one set of decisions.  A chunk sorts each class's noise
+    once and returns its count below every threshold of every point, and
+    below +inf, which is the class's size, in an array of shape
+    (axes, 4 classes, 4 * points).  After the chunks are added,
+    :func:`layered_bpsk.modem.decide` runs once per region on its lowest
+    received sample (-inf, -beta, 0 or beta), and the region's count adds to
+    the errors its decisions make against the class's bits.  In genie-aided
+    mode the second stage subtracts the class's true z instead of the
+    decision, isolating error propagation.
     """
     if not points:
         return []
     axes = len(points[0])
-    genie = cfg.mode == GENIE_AIDED
-    tables = [[amplitude_table(w) for w in point] for point in points]
+    # tau[p, axis, k]: class k's thresholds at -beta, 0 and beta, then +inf.
+    tau = np.array([[[[_threshold(a, c) for c in (-w.beta, 0.0, w.beta)] + [math.inf]
+                      for a in amplitude_table(w).tolist()]
+                     for w in point] for point in points])
+    searched = tau.transpose(1, 2, 0, 3).reshape(axes, 4, -1)
 
     def chunk(stream: NoiseStream, size: int) -> np.ndarray:
-        sent, noise = _draw(stream, size, axes)
-        y = np.empty(size)
-        counts = np.zeros((len(points), axes, 2))
-        for point, point_tables, point_counts in zip(points, tables, counts):
-            for w, table, (index, x, z), n, slot in zip(point, point_tables, sent, noise,
-                                                        point_counts):
-                # mode="clip" lets take write into y unbuffered; indices are 0..3.
-                np.add(table.take(index, out=y, mode="clip"), n, out=y)
-                slot[:] = _count_errors(y, w.beta, x, z, genie)
-        return counts
+        indices, noise = _draw(stream, size, axes)
+        return np.array([[np.searchsorted(_class_noise(axis_noise, index, k), thresholds)
+                          for k, thresholds in enumerate(axis_searched)]
+                         for index, axis_noise, axis_searched in zip(indices, noise, searched)])
 
+    below = _run_chunks(cfg, chunk).reshape(axes, 4, len(points), 4).transpose(2, 0, 1, 3)
+    counts = np.diff(below, axis=-1, prepend=0)
+    # Each region's lowest received sample, the last one beta itself.
+    y = np.array([[[[-math.inf, -w.beta, 0.0, w.beta]] for w in point] for point in points])
+    z_hat, x_hat = decide(y, y[..., 3:], _Z_BITS[:, None] if cfg.mode == GENIE_AIDED else None)
+    errors = np.stack([(counts * (z_hat != _Z_BITS[:, None])).sum(axis=(-2, -1)),
+                       (counts * (x_hat != _X_BITS[:, None])).sum(axis=(-2, -1))], axis=-1)
     return [SimReport(n_symbols=cfg.n_symbols, seed=cfg.seed, mode=cfg.mode,
-                      errors=tuple((int(z), int(x)) for z, x in row))
-            for row in _run_chunks(cfg, chunk).tolist()]
+                      errors=tuple((z, x) for z, x in row))
+            for row in errors.tolist()]
 
 
 def sweep_1d(cfg: SimConfig, weights: Sequence[WeightPair]) -> list[SimReport]:
@@ -259,7 +293,7 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
         table, density, shape = np.array([-amplitude, amplitude] * 2), mixture_pdf, amplitude
 
     def chunk(stream: NoiseStream, size: int) -> np.ndarray:
-        [(index, _, _)], [noise] = _draw(stream, size, 1)
+        [index], [noise] = _draw(stream, size, 1)
         neg_log2_p = -np.log2(density(table[index] + noise, shape, cfg.spec.sigma2))
         return np.array([neg_log2_p.sum(), (neg_log2_p * neg_log2_p).sum()])
 

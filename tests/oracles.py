@@ -105,3 +105,28 @@ def mpmath_bpsk_rate(amplitude, dps=30):
         a = mpmath.mpf(amplitude)
         f = lambda y: mpmath.npdf(y, a, 1) * mpmath.log1p(mpmath.exp(-2 * a * y))
         return 1 - mpmath.quad(f, [-mpmath.inf, -a, 0, a, mpmath.inf]) / mpmath.log(2)
+
+
+def per_symbol_errors(seed, n_symbols, chunk, sigma2, axes, genie):
+    """(z errors, x errors) per axis of the layered link, decided symbol by symbol.
+
+    ``axes`` lists each axis's (alpha, beta).  The draws follow the
+    simulator's stream: chunk k of ``chunk`` symbols uses the generator
+    seeded with (seed, k) and draws each axis's x and then z bits as int64
+    0/1 arrays, axis after axis, then each axis's N(0, sigma2) noise.  The
+    receiver is the paper's: z_hat = sign(y), then x_hat = sign(y - fb*beta)
+    with fb the decided z (the true z when ``genie``), ties deciding +1.
+    """
+    errors = np.zeros((len(axes), 2), dtype=np.int64)
+    for stream_id, start in enumerate(range(0, n_symbols, chunk)):
+        size = min(chunk, n_symbols - start)
+        rng = np.random.default_rng((seed, stream_id))
+        bits = [[2 * rng.integers(0, 2, size=size, dtype=np.int64) - 1 for _ in "xz"]
+                for _ in axes]
+        for (x, z), (alpha, beta), axis_errors in zip(bits, axes, errors):
+            amplitude = np.where(x == z, alpha * z, 0.5 * beta * z)
+            y = amplitude + rng.normal(0.0, math.sqrt(sigma2), size=size)
+            z_hat = np.where(y >= 0.0, 1, -1)
+            x_hat = np.where(y - (z if genie else z_hat) * beta >= 0.0, 1, -1)
+            axis_errors += [np.count_nonzero(z_hat != z), np.count_nonzero(x_hat != x)]
+    return tuple((int(z_errors), int(x_errors)) for z_errors, x_errors in errors)

@@ -1,13 +1,17 @@
 import dataclasses
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import special
 
 from layered_bpsk.channel import NoiseStream
-from layered_bpsk.core import NoiseSpec, WeightPair
+from layered_bpsk.core import MAX_RATIO, NoiseSpec, WeightPair, weights_from_ratio
+from layered_bpsk.modem import amplitude_table
 from layered_bpsk.montecarlo import (
     DECISION_FEEDBACK,
     GENIE_AIDED,
@@ -16,6 +20,7 @@ from layered_bpsk.montecarlo import (
     SimConfig,
     _CHUNK,
     _draw,
+    _threshold,
     ber_predictions_1d,
     empirical_entropy,
     qfunc,
@@ -23,9 +28,15 @@ from layered_bpsk.montecarlo import (
     simulate_2d,
     sweep_1d,
 )
-from layered_bpsk.rates import bpsk_rate, gaussian_entropy, rate_z, received_entropy_layered
+from layered_bpsk.rates import (
+    bpsk_rate,
+    gaussian_entropy,
+    rate_z,
+    received_entropy_layered,
+    signal_power,
+)
 
-from oracles import binary_entropy, trapezoid_ber_x_decision_feedback
+from oracles import binary_entropy, per_symbol_errors, trapezoid_ber_x_decision_feedback
 
 W21 = WeightPair(2.0, 1.0)
 SPEC1 = NoiseSpec(1.0)
@@ -95,16 +106,45 @@ class TestDraw:
         # x0, z0 (then x1, z1), each one int64 draw from {0, 1}, then each
         # axis's noise: the stream every golden ber digest depends on.
         n, sigma2 = 1000, 0.25
-        sent, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
+        indices, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
         reference = np.random.default_rng((5, 3))
         bits = [reference.integers(0, 2, size=n, dtype=np.int64) for _ in range(2 * axes)]
-        assert len(sent) == len(noise) == axes
-        for (index, x, z), x01, z01 in zip(sent, bits[0::2], bits[1::2]):
+        assert len(indices) == len(noise) == axes
+        for index, x01, z01 in zip(indices, bits[0::2], bits[1::2]):
             assert np.array_equal(index, 2 * x01 + z01)
-            assert np.array_equal(x, x01 == 1) and np.array_equal(z, z01 == 1)
         for axis_noise in noise:
             assert np.array_equal(axis_noise, reference.normal(0.0, math.sqrt(sigma2), size=n))
         assert set(np.unique(bits)) == {0, 1}
+
+
+def _reaches_level_first(a, c, tau):
+    # Received samples are fl(a + n): tau reaches level c, the float below it does not.
+    return a + tau >= c > a + math.nextafter(tau, -math.inf)
+
+
+class TestThreshold:
+    @given(ratio=st.floats(1.0, MAX_RATIO, exclude_min=True),
+           sigma2=st.floats(1e-12, 1e12), snr_db=st.floats(-20.0, 40.0))
+    @example(ratio=1e20, sigma2=1.0, snr_db=0.0)  # beta below ulp(alpha)
+    @example(ratio=1.0 + 2.0**-40, sigma2=1.0, snr_db=0.0)  # alpha - beta far below beta
+    def test_is_the_least_noise_reaching_each_level(self, ratio, sigma2, snr_db):
+        w = weights_from_ratio(ratio, signal_power(10.0 ** (snr_db / 10.0), sigma2))
+        for a in amplitude_table(w).tolist():
+            for c in (-w.beta, 0.0, w.beta):
+                assert _reaches_level_first(a, c, _threshold(a, c))
+
+    def test_beta_below_ulp_of_alpha_empties_a_region(self):
+        # No float lands in [-beta, 0) from +-alpha, so two thresholds coincide.
+        w = weights_from_ratio(1e20, 2.0)
+        assert w.beta < math.ulp(w.alpha)
+        for a in (w.alpha, -w.alpha):
+            assert _threshold(a, -w.beta) == _threshold(a, 0.0) == -a
+
+    @pytest.mark.parametrize("a, c, tau", [(-1.7e308, 1e308, math.inf),
+                                           (1.7e308, -1e308, -sys.float_info.max)])
+    def test_float_range_ends(self, a, c, tau):
+        assert _threshold(a, c) == tau
+        assert _reaches_level_first(a, c, tau)
 
 
 class TestSimulate1D:
@@ -192,6 +232,35 @@ class TestSweep1D:
 
     def test_empty_grid_gives_no_reports(self):
         assert sweep_1d(_cfg(n_symbols=self.N), []) == []
+
+
+class TestCountsMatchPerSymbolOracle:
+    # Three chunks, the last one partial, so three workers run in parallel.
+    N = 2 * _CHUNK + 7_777
+    GRIDS = {
+        "noiseless": (1e-12, [WeightPair(2.0, 1.0), WeightPair(1.5, 1.2), WeightPair(4.0, 0.1)]),
+        "loud": (1e6, [weights_from_ratio(ratio, signal_power(10.0 ** (db / 10.0), 1e6))
+                       for ratio in (2.0, 5.0) for db in (-10.0, 5.0, 20.0)]),
+        "extreme_ratios": (1.0, [weights_from_ratio(MAX_RATIO, 2.0),
+                                 weights_from_ratio(0.7 * MAX_RATIO, 30.0),
+                                 weights_from_ratio(1.0 + 1e-9, 2.0)]),
+    }
+
+    @pytest.mark.parametrize("mode", [DECISION_FEEDBACK, GENIE_AIDED])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_sweep_and_2d_count_every_error(self, grid, mode):
+        sigma2, weights = self.GRIDS[grid]
+        genie = mode == GENIE_AIDED
+        w, wp = weights[0], weights[-1]
+        expected_1d = [per_symbol_errors(SEED, self.N, _CHUNK, sigma2, [(v.alpha, v.beta)], genie)
+                       for v in weights]
+        expected_2d = per_symbol_errors(SEED, self.N, _CHUNK, sigma2,
+                                        [(w.alpha, w.beta), (wp.alpha, wp.beta)], genie)
+        for workers in (1, 3):
+            cfg = _cfg(n_symbols=self.N, w=w, wp=wp, spec=NoiseSpec(sigma2), mode=mode,
+                       workers=workers)
+            assert [report.errors for report in sweep_1d(cfg, weights)] == expected_1d
+            assert simulate_2d(cfg).errors == expected_2d
 
 
 class TestSimulate2D:
