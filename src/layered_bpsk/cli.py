@@ -2,10 +2,11 @@
 
 Sweep grids are half-open dB ranges ``[min, max)`` stepped by ``--step-db``;
 ``--min-db`` equal to ``--max-db`` yields a header-only file.  Grids always
-parameterize the received SNR ``rho = power / (2 * sigma2)``; with
-``--axis ebn0_db`` the rows are the same operating points with their Eb/N0
-reported as the leading column (Eb/N0 flattens near its floor, so curves are
-generated parametrically rather than by inverting it).
+parameterize the received SNR ``rho = power / N0``, which alone fixes every
+row, at unit noise variance per real dimension; with ``--axis ebn0_db`` the
+rows are the same operating points with their Eb/N0 reported as the leading
+column (Eb/N0 flattens near its floor, so curves are generated
+parametrically rather than by inverting it).
 
 All numeric fields are printed with 12 significant digits, rows end with LF,
 and output is byte-identical across repeated runs with the same flags and
@@ -14,10 +15,10 @@ seed, for any ``--workers`` value.
 Each subparser names its ``cmd_*`` function as ``run``, and ``main`` parses,
 runs it and writes its rows; ``rate-sweep`` and ``capacity-gap`` share one
 ratio-major row loop.  One grid check, ``_grid_db``, serves every command:
-it checks the grid flags, the ratios and ``--sigma2``, and the signal power
-at both grid ends, before any grid point is evaluated.  Any bad input, a
-malformed command line included, ends with one ``layered-bpsk: error:`` line
-and exit code 1.
+it checks the grid flags, the ratios and their layer weights at the grid
+start before any grid point is evaluated.  Any bad input, a malformed
+command line included, ends with one ``layered-bpsk: error:`` line and exit
+code 1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import argparse
 import math
 import sys
 
-from .core import MAX_RATIO, NoiseSpec, weights_from_ratio
+from .core import MAX_RATIO, NoiseSpec, WeightPair, weights_from_ratio
 from .montecarlo import (
     DECISION_FEEDBACK,
     GENIE_AIDED,
@@ -46,11 +47,14 @@ MAX_GRID_POINTS = 100_000
 # Grid bounds lie within +-MAX_ABS_DB, so every 10 ** (dB / 10) is a finite,
 # normal float.
 MAX_ABS_DB = 3000.0
+# The noise of every command, unit variance per real dimension; the signal
+# power 2 * rho is then at most 2e300 within +-MAX_ABS_DB.
+_NOISE = NoiseSpec(1.0)
 
 # Options that take a number.  argparse reads a value such as -1e3 as an
 # option name, since only plain negative numbers like -5 or -0.5 are exempt,
 # so main() joins each of these with a negative value as --flag=value first.
-_NUMERIC_FLAGS = frozenset({"--min-db", "--max-db", "--step-db", "--sigma2", "--ratio",
+_NUMERIC_FLAGS = frozenset({"--min-db", "--max-db", "--step-db", "--ratio",
                             "--seed", "--symbols", "--workers"})
 
 _RATE_SWEEP_HEADER = (
@@ -77,16 +81,21 @@ def _rho(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
+def _weights(ratio: float, snr_db: float) -> WeightPair:
+    return weights_from_ratio(ratio, signal_power(_rho(snr_db), _NOISE.sigma2))
+
+
 def _grid_db(args, ratios: tuple[float, ...] = ()) -> list[float]:
-    """The dB grid of one command, after checking every grid flag, each of
-    ``ratios`` and ``--sigma2``.
+    """The dB grid of one command, after checking every grid flag and each
+    of ``ratios``.
 
     The grid is half-open, [min_db, max_db): equal bounds give an empty grid
     and therefore a header-only CSV.  It has at most MAX_GRID_POINTS points.
-    At both ends, where the signal power is smallest and largest, every
-    ratio must give valid layer weights and the power must be finite.
+    Every ratio must give valid layer weights at the grid start, where the
+    signal power is smallest; beta only grows with the power, and the power
+    stays finite up to +MAX_ABS_DB.
     """
-    lo, hi, step, sigma2 = args.min_db, args.max_db, args.step_db, args.sigma2
+    lo, hi, step = args.min_db, args.max_db, args.step_db
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError("grid bounds and step must be finite")
     if lo > hi:
@@ -104,22 +113,14 @@ def _grid_db(args, ratios: tuple[float, ...] = ()) -> list[float]:
         if not math.isfinite(ratio) or not 1.0 < ratio <= MAX_RATIO:
             raise ValueError(
                 f"--ratio values must be finite and in (1, {MAX_RATIO:g}], got {ratio}")
-    if not math.isfinite(sigma2) or sigma2 <= 0:
-        raise ValueError(f"--sigma2 must be a finite number > 0, got {sigma2}")
     grid = [lo + k * step for k in range(max(0, math.ceil(steps)))]
-    for snr_db in grid[:1] + grid[-1:]:
-        power = signal_power(_rho(snr_db), sigma2)
-        hint = ("raise --min-db or --sigma2, or lower --ratio" if power < 1.0
-                else "lower --max-db or --sigma2")
+    if grid:
         for ratio in ratios:
             try:
-                weights_from_ratio(ratio, power)
+                _weights(ratio, grid[0])
             except ValueError as exc:
-                raise ValueError(f"--ratio {ratio} with --sigma2 {sigma2} has no valid "
-                                 f"layer weights at {snr_db} dB ({exc}); {hint}") from None
-        if math.isinf(power):
-            raise ValueError(f"--sigma2 {sigma2} at {snr_db} dB gives an infinite "
-                             f"signal power 2 * sigma2 * rho; {hint}")
+                raise ValueError(f"--ratio {ratio} has no valid layer weights at {grid[0]} dB "
+                                 f"({exc}); raise --min-db, or lower --ratio") from None
     return grid
 
 
@@ -130,8 +131,7 @@ def _ratio_rows(args, header: tuple[str, ...], cells, exact_mi: bool = True):
     grid = _grid_db(args, ratios)
     rows = []
     for ratio in ratios:
-        points = operating_point_grid([_rho(db) for db in grid], args.sigma2, ratio,
-                                      exact_mi=exact_mi)
+        points = operating_point_grid([_rho(db) for db in grid], ratio, exact_mi=exact_mi)
         for snr_db, p in zip(grid, points):
             lead = snr_db if args.axis == "snr_db" else p.ebn0_db
             rows.append([_fmt(lead), _fmt(ratio)] + [_fmt(v) for v in cells(p)])
@@ -166,7 +166,7 @@ def _central_slopes(rho: list[float], values: list[float]) -> list[float]:
 
 def cmd_appendix(args) -> tuple[tuple[str, ...], list[list[str]]]:
     # appendix has no --ratio, so it builds no layered weights.
-    points = operating_point_grid([_rho(db) for db in _grid_db(args)], args.sigma2)
+    points = operating_point_grid([_rho(db) for db in _grid_db(args)])
     rhos = [p.snr_linear for p in points]
     curves = [[p.capacity for p in points], [p.qpsk_rate for p in points],
               [p.r_bpsk for p in points]]
@@ -177,17 +177,15 @@ def cmd_appendix(args) -> tuple[tuple[str, ...], list[list[str]]]:
 def cmd_ber(args) -> tuple[tuple[str, ...], list[list[str]]]:
     ratio = args.ratio
     grid = _grid_db(args, (ratio,))
-    spec = NoiseSpec(args.sigma2)
     # One config checks the simulation flags before any work, also for an
     # empty grid; the sweep runs every point on the same draws.
-    base = SimConfig(n_symbols=args.symbols, w=weights_from_ratio(ratio, 1.0), spec=spec,
+    base = SimConfig(n_symbols=args.symbols, w=weights_from_ratio(ratio, 1.0), spec=_NOISE,
                      seed=args.seed, mode=args.mode, workers=args.workers)
-    weights = [weights_from_ratio(ratio, signal_power(_rho(snr_db), args.sigma2))
-               for snr_db in grid]
+    weights = [_weights(ratio, snr_db) for snr_db in grid]
     rows = []
     for snr_db, w, report in zip(grid, weights, sweep_1d(base, weights)):
         ber_z, ber_x = report.ber(0)
-        pred_z, pred_x = ber_predictions_1d(w, spec, args.mode)
+        pred_z, pred_x = ber_predictions_1d(w, _NOISE, args.mode)
         rows.append([_fmt(snr_db), args.mode, _fmt(ber_z), _fmt(ber_x),
                      _fmt(pred_z), _fmt(pred_x),
                      _fmt(max(report.ci(0))), str(args.seed)])
@@ -210,8 +208,6 @@ def _add_grid_flags(parser, min_db: float, max_db: float) -> None:
                         help=f"grid end in dB, exclusive (default {max_db})")
     parser.add_argument("--step-db", type=float, default=0.5,
                         help="grid step in dB (default 0.5)")
-    parser.add_argument("--sigma2", type=float, default=1.0,
-                        help="per-dimension noise variance (default 1.0)")
     parser.add_argument("--out", default="-",
                         help="output CSV path, or - for stdout (default -)")
 

@@ -55,6 +55,11 @@ def symbol_index(x01, z01, out=None):
     return index
 
 
+# The inverse of symbol_index: row k holds the (x, z) bits of index k, True
+# for +1.
+_INDEX_BITS = np.array([divmod(k, 2) for k in range(4)]) == 1
+
+
 def amplitude_table(w: WeightPair) -> np.ndarray:
     """The amplitudes of ``w.points`` as a 4-entry array, by symbol index."""
     table = np.empty(4)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .channel import NoiseStream, noise_real
 from .core import NoiseSpec, SimReport, WeightPair
-from .modem import amplitude_table, decide, symbol_index
+from .modem import _INDEX_BITS, amplitude_table, decide, symbol_index
 from .rates import layered_pdf, mixture_pdf
 
 DECISION_FEEDBACK = "decision-feedback"
@@ -191,8 +191,7 @@ def _class_noise(noise: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
     return class_noise
 
 
-# The (x, z) bits of symbol index k = 2*x + z, True for +1.
-_X_BITS, _Z_BITS = (bits == 1 for bits in np.divmod(np.arange(4), 2))
+_X_BITS, _Z_BITS = _INDEX_BITS.T
 
 
 def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[SimReport]:
@@ -289,8 +288,8 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
     else:
         if not math.isfinite(amplitude) or amplitude < 0.0:
             raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
-        # By symbol index 2*x + z, so the z bit is the sign.
-        table, density, shape = np.array([-amplitude, amplitude] * 2), mixture_pdf, amplitude
+        # The z bit is the sign.
+        table, density, shape = np.where(_Z_BITS, amplitude, -amplitude), mixture_pdf, amplitude
 
     def chunk(stream: NoiseStream, size: int) -> np.ndarray:
         [index], [noise] = _draw(stream, size, 1)

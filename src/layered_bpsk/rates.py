@@ -1,16 +1,17 @@
 """Closed-form and integral rate quantities for layered BPSK over AWGN.
 
-Two SNR normalizations coexist here and are kept explicit throughout:
+Two domains coexist here and are kept explicit throughout:
 
 * Amplitude-domain functions (``bpsk_rate``, ``rate_z`` ... ``rate_2d``,
-  ``exact_mi_1d``, ``mixture_mi``) take an amplitude (or WeightPair, or a
-  list of points) plus the noise variance ``sigma2`` of the real dimension
-  the signal occupies.
+  ``exact_mi_1d``, ``mixture_mi``, the Eb/N0 helpers) take an amplitude (or
+  WeightPair, or a list of points) plus the noise variance ``sigma2`` of the
+  real dimension the signal occupies, the scale the amplitude is measured in.
 
-* SNR-domain functions (``bpsk_rate_at_snr``, ``qpsk_rate_at_snr``,
-  ``shannon_capacity`` and the Eb/N0 helpers) use the received SNR
-  ``rho = signal power / (2 * sigma2)``: the signal lives on one or both axes
-  of a complex-baseband channel whose total noise power is ``N0 = 2 * sigma2``.
+* SNR-domain functions (``shannon_capacity``, ``bpsk_rate_at_snr``,
+  ``qpsk_rate_at_snr``, ``operating_point_grid``) take the received SNR
+  ``rho = signal power / (2 * sigma2)`` alone, which fixes every rate, and
+  evaluate at sigma2 = 1: the signal lives on one or both axes of a
+  complex-baseband channel whose total noise power is ``N0 = 2 * sigma2``.
   ``signal_power(rho, sigma2)`` is the one place that power, 2 * sigma2 * rho,
   is formed: ``snr_to_amplitude``, the layer weights of
   ``operating_point_grid`` and the CLI's grid check and ``ber`` weights read
@@ -393,20 +394,20 @@ def snr_to_amplitude(rho: float, sigma2: float) -> float:
     return math.sqrt(signal_power(rho, _check_sigma2(sigma2)))
 
 
-def bpsk_rate_at_snr(rho: float, sigma2: float = 1.0) -> float:
-    """Conventional BPSK rate as a function of received SNR.
+def bpsk_rate_at_snr(rho: float) -> float:
+    """Conventional BPSK rate at received SNR rho.
 
     All transmit power sits on the real axis; rho counts it against the total
-    noise power 2 * sigma2 of the complex channel.
+    noise power N0 = 2 of the complex channel at unit variance per axis.
     """
-    return bpsk_rate(snr_to_amplitude(rho, sigma2), sigma2)
+    return bpsk_rate(snr_to_amplitude(rho, 1.0), 1.0)
 
 
-def qpsk_rate_at_snr(rho: float, sigma2: float = 1.0) -> float:
+def qpsk_rate_at_snr(rho: float) -> float:
     """Per-axis-BPSK QPSK rate at received SNR rho: the power splits evenly
     over both axes, so each axis runs at per-axis SNR rho and the rate is
     twice the per-axis BPSK rate.  A field of ``operating_point``."""
-    return operating_point(rho, sigma2).qpsk_rate
+    return operating_point(rho).qpsk_rate
 
 
 def ebn0_1d(w: WeightPair, sigma2: float) -> float:
@@ -458,8 +459,8 @@ def to_db(ratio: float) -> float:
 class OperatingPoint:
     """The rate quantities the CLI prints for one grid point, in bits/sec/Hz.
 
-    ``snr_linear`` is the received SNR ``rho = power / (2 * sigma2)`` of the
-    point.  The layered fields, ``ebn0_db`` to ``exact_mi``, are None for a
+    ``snr_linear`` is the received SNR ``rho = power / N0`` of the point.
+    The layered fields, ``ebn0_db`` to ``exact_mi``, are None for a
     baseline-only point, which has no weights.
     """
 
@@ -475,11 +476,11 @@ class OperatingPoint:
     exact_mi: float | None = None
 
 
-def operating_point_grid(rhos, sigma2: float, ratio: float | None = None, *,
+def operating_point_grid(rhos, ratio: float | None = None, *,
                          exact_mi: bool = True) -> list[OperatingPoint]:
     """Evaluate the baselines at each received SNR rho and, given an
     alpha/beta ratio, the layered scheme at the same average power as
-    conventional BPSK, ``weights_from_ratio(ratio, signal_power(rho, sigma2))``.
+    conventional BPSK, ``weights_from_ratio(ratio, signal_power(rho, 1.0))``.
 
     Every BPSK rate of the grid is evaluated in one ``bpsk_rate_grid`` call
     and every exact MI in one ``exact_mi_grid`` call: per point the two
@@ -488,6 +489,7 @@ def operating_point_grid(rhos, sigma2: float, ratio: float | None = None, *,
     ``exact_mi=False`` the exact MI is left out and its field is None.
     """
     rhos = [float(rho) for rho in rhos]
+    sigma2 = 1.0  # rho alone fixes every field; the variance only sets the scale
     capacity = [shannon_capacity(rho) for rho in rhos]  # checks every rho
     amplitudes = [snr_to_amplitude(rho, sigma2) for rho in rhos]
     amplitudes += [math.sqrt(sigma2 * rho) for rho in rhos]  # QPSK's per-axis amplitude
@@ -511,6 +513,6 @@ def operating_point_grid(rhos, sigma2: float, ratio: float | None = None, *,
             for k, rho in enumerate(rhos)]
 
 
-def operating_point(rho: float, sigma2: float, ratio: float | None = None) -> OperatingPoint:
+def operating_point(rho: float, ratio: float | None = None) -> OperatingPoint:
     """The one-point case of ``operating_point_grid``."""
-    return operating_point_grid([rho], sigma2, ratio)[0]
+    return operating_point_grid([rho], ratio)[0]

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from layered_bpsk.core import Bit, WeightPair
 from layered_bpsk.modem import (
+    _INDEX_BITS,
+    amplitude_table,
     decide,
     demod_1d,
     demod_2d,
     demod_bpsk,
     encode_1d,
     encode_2d,
+    symbol_index,
 )
 
 W21 = WeightPair(2.0, 1.0)
@@ -94,6 +97,14 @@ class TestDemod1D:
         plus, minus = demod_1d(y, w), demod_1d(-y, w)
         assert plus.z_hat == -minus.z_hat
         assert plus.x_hat == -minus.x_hat
+
+
+class TestIndexBits:
+    def test_inverts_symbol_index(self):
+        for k, (x, z) in enumerate(_INDEX_BITS):
+            assert symbol_index(x, z) == k
+            amplitude = encode_1d(1 if x else -1, 1 if z else -1, W21)
+            assert amplitude_table(W21)[k] == amplitude
 
 
 class TestDecide:

@@ -416,12 +416,6 @@ class TestSnrDomain:
             assert 0.0 < bpsk_rate_at_snr(rho) < 2.0 * rho * LOG2_E
             assert 0.0 < qpsk_rate_at_snr(rho) < 2.0 * rho * LOG2_E
 
-    @pytest.mark.parametrize("sigma2", [0.25, 1.0, 9.0])
-    def test_snr_domain_independent_of_noise_scale(self, sigma2):
-        # Received SNR fixes the operating point; sigma2 only sets the scale.
-        assert abs(bpsk_rate_at_snr(0.8, sigma2) - bpsk_rate_at_snr(0.8, 1.0)) <= 1e-8
-        assert abs(qpsk_rate_at_snr(0.8, sigma2) - qpsk_rate_at_snr(0.8, 1.0)) <= 1e-8
-
 
 class TestEbN0:
     def test_symmetric_axes_match_exactly(self):
@@ -470,7 +464,7 @@ class TestOperatingPoint:
     @pytest.mark.parametrize("rho", [1e-9, 0.5, 1e4])
     def test_fields_consistent(self, rho, ratio):
         # Every scalar function equals its record field bit for bit.
-        p = operating_point(rho, 1.0, ratio=ratio)
+        p = operating_point(rho, ratio=ratio)
         assert p.r_1 == p.r_z + p.r_x
         assert p.r_2 == 2.0 * p.r_1
         assert p.capacity == shannon_capacity(p.snr_linear)
@@ -482,7 +476,7 @@ class TestOperatingPoint:
         assert (p.r_bpsk, p.qpsk_rate) == (bpsk_rate_at_snr(rho), qpsk_rate_at_snr(rho))
 
     def test_baseline_only_point(self):
-        p = operating_point(0.5, 1.0)
+        p = operating_point(0.5)
         assert (p.r_bpsk, p.qpsk_rate) == (bpsk_rate_at_snr(0.5), qpsk_rate_at_snr(0.5))
         assert p.r_z is p.r_1 is p.exact_mi is p.ebn0_db is None
 
@@ -550,24 +544,24 @@ class TestGridEqualsOneRow:
     def test_empty_grids(self):
         assert bpsk_rate_grid([], 1.0).size == 0
         assert exact_mi_grid([], 1.0).size == 0
-        assert operating_point_grid([], 1.0, 2.0) == []
+        assert operating_point_grid([], 2.0) == []
 
     def test_grid_checks_every_row(self):
         with pytest.raises(ValueError, match="amplitude.*-1.0"):
             bpsk_rate_grid([1.0, -1.0], 1.0)
         with pytest.raises(ValueError, match="rho"):
-            operating_point_grid([1.0, math.nan], 1.0)
+            operating_point_grid([1.0, math.nan])
 
     @pytest.mark.parametrize("ratio", [None, 1.001, 2.0, 8.0, 1e3])
     def test_operating_point_grid(self, ratio):
         rhos = [0.0 if ratio is None else 1e-9, 1e-3, 0.37, 1.0, 10.0, 10.0 ** 4.5, 1e6]
-        grid = operating_point_grid(rhos, 0.7, ratio)
-        assert grid == [operating_point(rho, 0.7, ratio) for rho in rhos]
+        grid = operating_point_grid(rhos, ratio)
+        assert grid == [operating_point(rho, ratio) for rho in rhos]
 
     def test_operating_point_grid_without_exact_mi(self):
         rhos = [1e-3, 0.37, 10.0, 1e4]
-        lean = operating_point_grid(rhos, 1.0, 4.0, exact_mi=False)
-        full = operating_point_grid(rhos, 1.0, 4.0)
+        lean = operating_point_grid(rhos, 4.0, exact_mi=False)
+        full = operating_point_grid(rhos, 4.0)
         assert all(p.exact_mi is None for p in lean)
         assert lean == [dataclasses.replace(p, exact_mi=None) for p in full]
 
