@@ -8,9 +8,11 @@ rows are the same operating points with their Eb/N0 reported as the leading
 column (Eb/N0 flattens near its floor, so curves are generated
 parametrically rather than by inverting it).
 
-All numeric fields are printed with 12 significant digits, rows end with LF,
-and output is byte-identical across repeated runs with the same flags and
-seed, for any ``--workers`` value.
+All numeric fields are printed with 12 significant digits, except a
+``ratio`` label that 12 digits would give another value, which prints as its
+shortest round-trip ``repr``.  Rows end with LF, and output is
+byte-identical across repeated runs with the same flags and seed, for any
+``--workers`` value.
 
 Each subparser names its ``cmd_*`` function as ``run``, and ``main`` parses,
 runs it and writes its rows; ``rate-sweep`` and ``capacity-gap`` share one
@@ -131,10 +133,12 @@ def _ratio_rows(args, header: tuple[str, ...], cells, exact_mi: bool = True):
     grid = _grid_db(args, ratios)
     rows = []
     for ratio in ratios:
+        # A label must parse back to its own ratio, which 12 digits may not.
+        label = _fmt(ratio) if float(_fmt(ratio)) == ratio else repr(ratio)
         points = operating_point_grid([_rho(db) for db in grid], ratio, exact_mi=exact_mi)
         for snr_db, p in zip(grid, points):
             lead = snr_db if args.axis == "snr_db" else p.ebn0_db
-            rows.append([_fmt(lead), _fmt(ratio)] + [_fmt(v) for v in cells(p)])
+            rows.append([_fmt(lead), label] + [_fmt(v) for v in cells(p)])
     return (args.axis,) + header, rows
 
 

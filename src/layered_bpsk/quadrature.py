@@ -15,8 +15,12 @@ A 1-D array of steps evaluates a whole grid of expectations in one call:
 row k has its own nodes at ``steps[k]``, ``f`` sees the rows' nodes
 concatenated in order, and each row is summed on its own, so a row's value
 does not depend on the rows beside it.  ``node_counts`` gives each row's
-node count, with which callers repeat their per-row parameters onto the
-nodes.
+node count.
+
+``expect(integrand, steps, *params, terms=1)`` is the grid entry the rates
+use: it repeats each row's parameters onto the row's nodes, so an integrand
+sees them beside t, and runs the rows through ``integrate`` in blocks of at
+most 2**16 values (``_BLOCK``), so no array grows with the grid's length.
 
 The procedure is pure floating-point arithmetic with no randomness, so
 identical inputs give bit-identical results.  Integrands must evaluate
@@ -62,6 +66,39 @@ def integrate(f: Callable, step=MAX_STEP):
     weights = np.exp(-0.5 * t * t) * (node_step / math.sqrt(2.0 * math.pi))
     sums = np.add.reduceat(weights * fx, starts)
     return float(sums[0]) if steps.ndim == 0 else sums
+
+
+# Rows of a grid are evaluated in blocks, so that no array an integrand
+# holds exceeds this many values (nodes times the terms it keeps per node)
+# whatever the grid's length.  A row with more nodes is a block of its own.
+_BLOCK = 2**16
+
+
+def _blocks(counts, limit):
+    """Slices of consecutive rows whose node counts sum to at most
+    ``limit``, or single rows above it."""
+    start, total = 0, 0
+    for k, count in enumerate(counts.tolist()):
+        if total and total + count > limit:
+            yield slice(start, k)
+            start, total = k, 0
+        total += count
+    yield slice(start, len(counts))
+
+
+def expect(integrand, steps, *params, terms=1):
+    """E[integrand(t, *node_params)] for each row, t ~ N(0, 1), by the
+    trapezoid rule at the row's step.  Each array in ``params`` holds one
+    value per row along its last axis, and is repeated onto the row's nodes
+    there.  The integrand keeps at most ``terms`` values per node, and the
+    rows run in blocks of at most ``_BLOCK // terms`` nodes, one
+    ``integrate`` call each."""
+    out = np.empty(steps.size)
+    counts = node_counts(steps)
+    for rows in _blocks(counts, _BLOCK // terms):
+        node_params = [np.repeat(p[..., rows], counts[rows], axis=-1) for p in params]
+        out[rows] = integrate(lambda t: integrand(t, *node_params), steps[rows])
+    return out
 
 
 def plogp(p):

@@ -24,21 +24,25 @@ Two domains coexist here and are kept explicit throughout:
   so their first-order rate predictions line up with the integral rates.
 
 Every mutual information, BPSK's included, is that of equiprobable real
-points, a Gaussian expectation over the normalized noise t ~ N(0, 1)
-(``_mixture_nats``).  ``quadrature.integrate`` evaluates it at a step set by
-the distance of the integrand's poles, pair by pair (``_steps``).  Every
-printed rate is correct to its last printed (12th significant) digit.
+points, and ``_mi_bits`` is its one entry.  An outer pair of points whose
+half-gap to its neighbour is ``SATURATION_SIGMAS`` noise deviations or more
+is told apart exactly, which saturates BPSK at exactly 1 and the exact MI at
+exactly 2.  What is left is a Gaussian expectation over the normalized noise
+t ~ N(0, 1) (``_mixture_nats``), which ``quadrature.expect`` evaluates at a
+step set by the distance of the integrand's poles, pair by pair (``_steps``).
+That step rule bounds every integral's node count at any SNR; the exact
+pairs only skip integrals.  Every printed rate is correct to its last
+printed (12th significant) digit.
 
 A grid of rates is evaluated at once: ``bpsk_rate_grid``, ``exact_mi_grid``
-and ``operating_point_grid`` hand all of a grid's rows to ``integrate`` in
-blocks of at most 2**16 nodes (``_BLOCK``).  Each scalar is rows of one such
-batch, equal to the grid's rows bit for bit: ``bpsk_rate`` and
-``bpsk_rate_at_snr`` are one row of ``bpsk_rate_grid``; ``rate_z``, ``rate_x``
-and ``rate_1d`` three rows of it, the ``_stream_amplitudes``, read by the
-``_stream_rates`` the grid uses; ``exact_mi_1d`` and ``mixture_mi`` one row
-of the mixture evaluator; ``operating_point`` and ``qpsk_rate_at_snr`` one
-point of ``operating_point_grid``.  Rates saturate exactly at
-``SATURATION_SIGMAS``, so a rate's node count stays bounded at any SNR.
+and ``operating_point_grid`` hand all of a grid's rows to ``_mi_bits``, and
+``quadrature.expect`` runs them in blocks of bounded size.  Each scalar is
+rows of one such batch, equal to the grid's rows bit for bit: ``bpsk_rate``
+and ``bpsk_rate_at_snr`` are one row of ``bpsk_rate_grid``; ``rate_z``,
+``rate_x`` and ``rate_1d`` three rows of it, the ``_stream_amplitudes``, read
+by the ``_stream_rates`` the grid uses; ``exact_mi_1d`` and ``mixture_mi`` one
+row of ``_mi_bits``; ``operating_point`` and ``qpsk_rate_at_snr`` one point of
+``operating_point_grid``.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .core import WeightPair, mean_power, weights_from_ratio
-from .quadrature import MAX_STEP, integrate, node_counts
+from .quadrature import MAX_STEP
 
 LOG2_E = math.log2(math.e)
 LN2 = math.log(2.0)
@@ -60,7 +65,8 @@ LN2 = math.log(2.0)
 # bits, both for BPSK at A = 12 sigma and for the exact MI at an outer
 # half-gap of 12 sigma: 16 orders under one ulp, and level with the 1e-32
 # Gaussian tail that ``quadrature.NODE_REACH`` = 12 already drops.
-# Returning it directly also bounds the node count of every integral.
+# Returning it directly skips that pair's integral, and keeps an amplitude of
+# any size out of the arithmetic in noise deviations.
 SATURATION_SIGMAS = 12.0
 
 
@@ -97,12 +103,6 @@ def layered_pdf(y, w: WeightPair, sigma2: float):
     return _points_pdf(y, w.amplitudes, _check_sigma2(sigma2))
 
 
-# Rows of a grid are evaluated in blocks, so that no array an integrand
-# holds exceeds this many values (nodes times the terms it keeps per node)
-# whatever the grid's length: at most 2**16 nodes for BPSK, fewer for the
-# exact MI's pair terms.  A row with more nodes is a block of its own.
-_BLOCK = 2**16
-
 # Largest exponent of the rule's error that a pair's step may spend; see
 # ``_steps``.  exp(-64) ~ 1.6e-28, far under one ulp of every rate.
 _POLE_EXPONENT = 64.0
@@ -132,35 +132,6 @@ def _steps(c):
     return np.maximum(spread, pole).min(axis=(1, 2))
 
 
-def _blocks(counts, limit):
-    """Slices of consecutive rows whose node counts sum to at most
-    ``limit``, or single rows above it."""
-    start, total = 0, 0
-    for k, count in enumerate(counts.tolist()):
-        if total and total + count > limit:
-            yield slice(start, k)
-            start, total = k, 0
-        total += count
-    yield slice(start, len(counts))
-
-
-def _expect(integrand, steps, *params, terms=1):
-    """E[integrand(t, *node_params)] for each row, t ~ N(0, 1), by the
-    trapezoid rule at the row's step.  Each array in ``params`` holds one
-    value per row along its last axis, and is repeated onto the row's nodes
-    there.  The integrand keeps at most ``terms`` values per node, and the
-    rows run in blocks of at most ``_BLOCK // terms`` nodes, one
-    ``integrate`` call each."""
-    out = np.empty(steps.size)
-    if not steps.size:
-        return out
-    counts = node_counts(steps)
-    for rows in _blocks(counts, _BLOCK // terms):
-        node_params = [np.repeat(p[..., rows], counts[rows], axis=-1) for p in params]
-        out[rows] = integrate(lambda t: integrand(t, *node_params), steps[rows])
-    return out
-
-
 def _log_cosh(v):
     """log cosh v as log1p(2 sinh(v/2)**2): >= 0, with full relative
     precision near v = 0."""
@@ -180,7 +151,7 @@ def _log_mean_exp(u, w):
 def _mixture_nats(c):
     """Mutual information in nats of each row of ``c``, an array (rows, n)
     of equiprobable points in noise deviations, sorted and symmetric about
-    zero (see ``mixture_mi``).
+    zero (see ``mixture_mi``); its one caller is ``_mi_bits``.
 
     The Gaussian weight is even in t, and the integrand of point -c_i at t
     is that of c_i at -t, so only the non-negative half of each row is
@@ -204,7 +175,7 @@ def _mixture_nats(c):
             u = _log_cosh(cj * (ci + t)) - 0.5 * cj * cj
             return (w[:, None] * _log_mean_exp(u, w)).sum(axis=0)
 
-        nats[near] = 0.5 * np.mean(c[near] ** 2, axis=1) - _expect(
+        nats[near] = 0.5 * np.mean(c[near] ** 2, axis=1) - quadrature.expect(
             log_cosh_form, steps[near], h, terms=half.size**2)
     if not near.all():
         others = np.array([[j for j in range(n) if j != i] for i in half])
@@ -215,9 +186,39 @@ def _mixture_nats(c):
             terms = np.exp(-0.5 * d * (d + 2.0 * t)).sum(axis=1)
             return (w[:, None] * np.log1p(terms)).sum(axis=0)
 
-        nats[~near] = math.log(n) - _expect(separation_form, steps[~near], d,
-                                            terms=d[..., 0].size)
+        nats[~near] = math.log(n) - quadrature.expect(separation_form, steps[~near], d,
+                                                      terms=d[..., 0].size)
     return nats
+
+
+def _mi_bits(points, sigma2: float) -> np.ndarray:
+    """Mutual information in bits of each row of ``points``, an array
+    (rows, n) of equiprobable real points in amplitude units, sorted and
+    symmetric about zero, plus N(0, sigma2) noise.
+
+    An outer pair whose half-gap to its neighbour (for n = 2, to each other)
+    is at least SATURATION_SIGMAS deviations is told apart exactly: Y names
+    the pair or the rest, so the row carries the label entropy
+    log2 n - (n-2)/n log2(n-2) plus (n-2)/n times the rest's own bits.  The
+    half-gap is measured in amplitude units, before any division by sigma,
+    as the difference of halves, which cannot overflow; the rest is peeled
+    the same way.  A single point left over is zero and carries no
+    information.  The other rows are evaluated in noise deviations by
+    ``_mixture_nats``.
+    """
+    sigma = math.sqrt(_check_sigma2(sigma2))
+    bits = np.empty(points.shape[0])
+    rows = np.arange(bits.size)  # the rows whose rest is still open
+    label, share = 0.0, 1.0  # bits of the pairs told apart so far, and the rest's weight
+    for n in range(points.shape[1], 1, -2):
+        told = 0.5 * points[:, -1] - 0.5 * points[:, -2] >= SATURATION_SIGMAS * sigma
+        if not told.all():
+            bits[rows[~told]] = label + share * (_mixture_nats(points[~told] / sigma) / LN2)
+        label += share * (math.log2(n) - (n - 2) / n * math.log2(max(n - 2, 1)))
+        share *= (n - 2) / n
+        rows, points = rows[told], points[told, 1:-1]
+    bits[rows] = label
+    return bits
 
 
 def mixture_mi(points, sigma2: float) -> float:
@@ -236,10 +237,10 @@ def mixture_mi(points, sigma2: float) -> float:
     instead, which pairs c_j with -c_j: the terms linear in t cancel
     exactly, so the low-SNR digits survive.
     """
-    c = np.sort(np.asarray(points, dtype=float)) / math.sqrt(_check_sigma2(sigma2))
-    if not np.array_equal(c, -c[::-1]):
+    row = np.sort(np.asarray(points, dtype=float))
+    if not np.array_equal(row, -row[::-1]):
         raise ValueError(f"points must be symmetric about zero, got {points!r}")
-    return float(_mixture_nats(c[None, :])[0]) / LN2
+    return float(_mi_bits(row[None, :], sigma2)[0])
 
 
 def received_entropy_layered(w: WeightPair, sigma2: float) -> float:
@@ -254,15 +255,7 @@ def bpsk_rate_grid(amplitudes, sigma2: float) -> np.ndarray:
     bad = ~(np.isfinite(a) & (a >= 0.0))
     if bad.any():
         raise ValueError(f"amplitude must be a finite number >= 0, got {float(a[bad][0])!r}")
-    sigma = math.sqrt(_check_sigma2(sigma2))
-    # 0 bits at zero amplitude, where the output density is the noise
-    # density, and exactly 1 from saturation up.
-    saturated = a >= SATURATION_SIGMAS * sigma
-    bits = np.where(saturated, 1.0, 0.0)
-    live = np.flatnonzero((a > 0.0) & ~saturated)
-    root = a[live] / sigma
-    bits[live] = _mixture_nats(np.stack([-root, root], axis=1)) / LN2
-    return bits
+    return _mi_bits(np.stack([-a, a], axis=1), sigma2)
 
 
 def bpsk_rate(amplitude: float, sigma2: float) -> float:
@@ -319,16 +312,8 @@ def rate_2d(w: WeightPair, wp: WeightPair, sigma2: float) -> float:
 def exact_mi_grid(weights, sigma2: float) -> np.ndarray:
     """``exact_mi_1d`` of every WeightPair in a sequence, as an array;
     element k equals ``exact_mi_1d(weights[k], sigma2)`` bit for bit."""
-    sigma = math.sqrt(_check_sigma2(sigma2))
-    alpha = np.array([w.alpha for w in weights], dtype=float)
-    beta = np.array([w.beta for w in weights], dtype=float)
-    bits = np.empty(alpha.size)
-    isolated = 0.5 * (alpha - 0.5 * beta) >= SATURATION_SIGMAS * sigma
-    bits[isolated] = 1.5 + 0.5 * bpsk_rate_grid(0.5 * beta[isolated], sigma2)
-    rest = np.flatnonzero(~isolated)
-    points = np.array([weights[k].amplitudes for k in rest], dtype=float).reshape(rest.size, 4)
-    bits[rest] = _mixture_nats(np.sort(points, axis=1) / sigma) / LN2
-    return bits
+    points = np.array([w.amplitudes for w in weights], dtype=float).reshape(-1, 4)
+    return _mi_bits(np.sort(points, axis=1), sigma2)
 
 
 def exact_mi_1d(w: WeightPair, sigma2: float) -> float:

@@ -92,6 +92,18 @@ class TestRateSweep:
         assert code == 0 and err == ""
         assert _rows(out)[1][0][2:4] == ["2", "1"]
 
+    def test_ratio_labels_parse_back_to_their_values(self, capsys):
+        # To 12 digits the second ratio reads 1, outside the accepted range
+        # and the label of every ratio that close to 1.
+        ratios = ("1e150", "1.0000000000001")
+        code, out, _ = _run(capsys, "rate-sweep", "--min-db", "2999", "--max-db", "3000",
+                            *(part for r in ratios for part in ("--ratio", r)))
+        assert code == 0
+        _, rows = _rows(out)
+        labels = [rows[0][1], rows[-1][1]]
+        assert [float(label) for label in labels] == [float(r) for r in ratios]
+        assert labels[0] != labels[1]
+
     def test_determinism(self, capsys):
         argv = ("rate-sweep", "--min-db", "-6", "--max-db", "-4", "--step-db", "0.5")
         _, first, _ = _run(capsys, *argv)
@@ -234,6 +246,21 @@ def test_negative_value_in_exponent_notation_reads_as_a_number(capsys, joined):
     code, out, err = _run(capsys, *spaced)
     assert code == 0 and err == ""
     assert out == expected
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("rate-sweep", "--ratio", "-2e0"), "--ratio"),
+    (("ber", "--seed", "-1e0"), "--seed"),
+    (("ber", "--symbols", "-1e4"), "--symbols"),
+    (("ber", "--workers", "-2e0"), "--workers"),
+])
+def test_every_numeric_flag_reads_a_negative_exponent_value(capsys, argv, flag):
+    # Each value reaches its flag and is rejected there; a flag missing from
+    # cli._NUMERIC_FLAGS would instead see no value at all.
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
+    assert flag in err and "expected one argument" not in err
 
 
 GRID_COMMANDS = ["rate-sweep", "capacity-gap", "appendix", "ber"]

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layered_bpsk import rates
+from layered_bpsk import quadrature
 from layered_bpsk.cli import main
 from layered_bpsk.core import WeightPair, weights_from_ratio
 from layered_bpsk.quadrature import node_counts
@@ -327,6 +329,43 @@ class TestMixtureMi:
             mixture_mi((2.0, 0.5), 1.0)
 
 
+class TestOneEntry:
+    """``mixture_mi``, ``bpsk_rate`` and ``exact_mi_1d`` share one entry,
+    which checks sigma2 first and tells an outer pair apart exactly once its
+    gap to its neighbour is 2 * SATURATION_SIGMAS deviations, before any
+    division by sigma."""
+
+    @pytest.mark.parametrize("w", [WeightPair(1e17, 1e-3), WeightPair(100.0, 1.0),
+                                   WeightPair(60.0, 30.0)])
+    def test_mixture_mi_is_exact_mi(self, w):
+        assert mixture_mi(w.amplitudes, 1.0).hex() == exact_mi_1d(w, 1.0).hex()
+
+    def test_outer_gap_at_the_threshold_is_told_apart(self):
+        sigma2 = 0.36
+        gap = 2.0 * SATURATION_SIGMAS * math.sqrt(sigma2)
+        w = WeightPair(gap + 0.5, 1.0)
+        assert w.alpha - 0.5 * w.beta == gap
+        told = 1.5 + 0.5 * bpsk_rate(0.5, sigma2)
+        assert mixture_mi(w.amplitudes, sigma2) == exact_mi_1d(w, sigma2) == told
+
+    def test_huge_pair_saturates_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mixture_mi((1e200, -1e200), 1.0) == 1.0
+            assert bpsk_rate(sys.float_info.max, 1.0) == 1.0
+
+    def test_three_points_told_apart_carry_their_label_entropy(self):
+        assert mixture_mi((-30.0, 0.0, 30.0), 1.0) == math.log2(3)
+
+    # bpsk_rate(0.0, -1.0) is TestBpskRate's.
+    @pytest.mark.parametrize("call", [lambda: mixture_mi((0.0,), -1.0),
+                                      lambda: mixture_mi((1e200, -1e200), -1.0),
+                                      lambda: exact_mi_grid([], math.nan)])
+    def test_sigma2_checked_before_anything_else(self, call):
+        with pytest.raises(ValueError, match="sigma2"):
+            call()
+
+
 class TestClosedForms:
     def test_shannon_capacity_points(self):
         assert shannon_capacity(1.0) == 1.0
@@ -488,13 +527,13 @@ def _bits(values):
 def _spy_integrate(monkeypatch):
     """Record the node count of every ``integrate`` call the rates make."""
     calls = []
-    integrate = rates.integrate
+    integrate = quadrature.integrate
 
     def spy(f, step):
         calls.append(int(node_counts(step).sum()))
         return integrate(f, step)
 
-    monkeypatch.setattr(rates, "integrate", spy)
+    monkeypatch.setattr(quadrature, "integrate", spy)
     return calls
 
 
@@ -610,7 +649,7 @@ def test_default_rate_sweep_node_budget(monkeypatch, tmp_path):
     # (300 847 nodes) and no exact MI; the rate-sweep's exact MI takes 86 526
     # more.  A step rule that widens again fails here.
     nodes = []
-    expect = rates._expect
+    expect = quadrature.expect
 
     def spy(integrand, steps, *params, **kwargs):
         nodes.append(int(node_counts(steps).sum()))
@@ -621,7 +660,7 @@ def test_default_rate_sweep_node_budget(monkeypatch, tmp_path):
         assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
         return sum(nodes)
 
-    monkeypatch.setattr(rates, "_expect", spy)
+    monkeypatch.setattr(quadrature, "expect", spy)
     bpsk = count("capacity-gap")
     assert bpsk <= 310_000
     assert count("rate-sweep") - bpsk <= 90_000
