@@ -128,15 +128,16 @@ def _grid_db(args, ratios: tuple[float, ...] = ()) -> list[float]:
 
 def _ratio_rows(args, header: tuple[str, ...], cells, exact_mi: bool = True):
     """Rows of a layered sweep, ratio-major: the axis value, the ratio, then
-    ``cells(point)`` of each operating point."""
+    ``cells(point)`` of each operating point.  Every ratio's points come
+    from one ``operating_point_grid`` call, in the same order."""
     ratios = tuple(args.ratio or DEFAULT_RATIOS)
     grid = _grid_db(args, ratios)
+    points = operating_point_grid([_rho(db) for db in grid], ratios, exact_mi=exact_mi)
     rows = []
-    for ratio in ratios:
+    for k, ratio in enumerate(ratios):
         # A label must parse back to its own ratio, which 12 digits may not.
         label = _fmt(ratio) if float(_fmt(ratio)) == ratio else repr(ratio)
-        points = operating_point_grid([_rho(db) for db in grid], ratio, exact_mi=exact_mi)
-        for snr_db, p in zip(grid, points):
+        for snr_db, p in zip(grid, points[k * len(grid):(k + 1) * len(grid)]):
             lead = snr_db if args.axis == "snr_db" else p.ebn0_db
             rows.append([_fmt(lead), label] + [_fmt(v) for v in cells(p)])
     return (args.axis,) + header, rows

@@ -109,7 +109,7 @@ def weights_from_ratio(ratio: float, avg_power: float) -> WeightPair:
         raise ValueError(f"ratio must be a finite number in (1, {MAX_RATIO:g}], got {ratio!r}")
     if not math.isfinite(avg_power) or avg_power <= 0.0:
         raise ValueError(f"avg_power must be a finite number > 0, got {avg_power!r}")
-    beta = math.sqrt(avg_power / WeightPair(ratio, 1.0).average_power())
+    beta = math.sqrt(avg_power / mean_power((ratio, 0.5)))  # the power of (ratio, 1)
     return WeightPair(alpha=ratio * beta, beta=beta)
 
 

@@ -20,7 +20,9 @@ node count.
 ``expect(integrand, steps, *params, terms=1)`` is the grid entry the rates
 use: it repeats each row's parameters onto the row's nodes, so an integrand
 sees them beside t, and runs the rows through ``integrate`` in blocks of at
-most 2**16 values (``_BLOCK``), so no array grows with the grid's length.
+most 2**14 values (``_BLOCK``), so no array grows with the grid's length.
+At that size each of an integrand's temporaries is 128 KB and stays in
+cache; 2**13 and 2**15 both ran the default ``rate-sweep`` slower.
 
 The procedure is pure floating-point arithmetic with no randomness, so
 identical inputs give bit-identical results.  Integrands must evaluate
@@ -71,7 +73,7 @@ def integrate(f: Callable, step=MAX_STEP):
 # Rows of a grid are evaluated in blocks, so that no array an integrand
 # holds exceeds this many values (nodes times the terms it keeps per node)
 # whatever the grid's length.  A row with more nodes is a block of its own.
-_BLOCK = 2**16
+_BLOCK = 2**14
 
 
 def _blocks(counts, limit):

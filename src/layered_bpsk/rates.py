@@ -36,7 +36,10 @@ printed (12th significant) digit.
 
 A grid of rates is evaluated at once: ``bpsk_rate_grid``, ``exact_mi_grid``
 and ``operating_point_grid`` hand all of a grid's rows to ``_mi_bits``, and
-``quadrature.expect`` runs them in blocks of bounded size.  Each scalar is
+``quadrature.expect`` runs them in blocks of bounded size.
+``operating_point_grid`` takes every ratio of a sweep at once, so a sweep
+makes two ``_mi_bits`` calls, one for its BPSK rates and one for its exact
+MIs, and evaluates its baselines once for all ratios.  Each scalar is
 rows of one such batch, equal to the grid's rows bit for bit: ``bpsk_rate``
 and ``bpsk_rate_at_snr`` are one row of ``bpsk_rate_grid``; ``rate_z``,
 ``rate_x`` and ``rate_1d`` three rows of it, the ``_stream_amplitudes``, read
@@ -223,7 +226,9 @@ def _mi_bits(points, sigma2: float) -> np.ndarray:
 
 def mixture_mi(points, sigma2: float) -> float:
     """Mutual information in bits of equiprobable real points, symmetric
-    about zero, plus N(0, sigma2) noise.
+    about zero, plus N(0, sigma2) noise.  The points must be distinct: a
+    repeated point would weigh its value twice, and the distinct values
+    would no longer be equiprobable.
 
     With c the points in noise deviations and y = c_i + t, the information
     in nats is log n - mean_i E_t[log sum_j exp(d_ij)], where
@@ -240,6 +245,8 @@ def mixture_mi(points, sigma2: float) -> float:
     row = np.sort(np.asarray(points, dtype=float))
     if not np.array_equal(row, -row[::-1]):
         raise ValueError(f"points must be symmetric about zero, got {points!r}")
+    if np.any(row[1:] == row[:-1]):
+        raise ValueError(f"points must be distinct, got {points!r}")
     return float(_mi_bits(row[None, :], sigma2)[0])
 
 
@@ -461,30 +468,33 @@ class OperatingPoint:
     exact_mi: float | None = None
 
 
-def operating_point_grid(rhos, ratio: float | None = None, *,
-                         exact_mi: bool = True) -> list[OperatingPoint]:
-    """Evaluate the baselines at each received SNR rho and, given an
+def operating_point_grid(rhos, ratios=(), *, exact_mi: bool = True) -> list[OperatingPoint]:
+    """Evaluate the baselines at each received SNR rho and, for each
     alpha/beta ratio, the layered scheme at the same average power as
     conventional BPSK, ``weights_from_ratio(ratio, signal_power(rho, 1.0))``.
 
-    Every BPSK rate of the grid is evaluated in one ``bpsk_rate_grid`` call
-    and every exact MI in one ``exact_mi_grid`` call: per point the two
-    baselines and the three ``_stream_amplitudes`` (r_z and r_x share the
-    beta/2 term), and the Eb/N0 divides by the same r_1.  With
-    ``exact_mi=False`` the exact MI is left out and its field is None.
+    The points come ratio-major, ``len(rhos)`` of them per ratio, or the
+    baselines alone without ratios.  The two baselines are evaluated once
+    and shared by every ratio.  Every BPSK rate of the grid is evaluated in
+    one ``bpsk_rate_grid`` call and every exact MI in one ``exact_mi_grid``
+    call: per point the two baselines, per point and ratio the three
+    ``_stream_amplitudes`` (r_z and r_x share the beta/2 term), and the
+    Eb/N0 divides by the same r_1.  With ``exact_mi=False`` the exact MI is
+    left out and its field is None.
     """
     rhos = [float(rho) for rho in rhos]
     sigma2 = 1.0  # rho alone fixes every field; the variance only sets the scale
     capacity = [shannon_capacity(rho) for rho in rhos]  # checks every rho
     amplitudes = [snr_to_amplitude(rho, sigma2) for rho in rhos]
     amplitudes += [math.sqrt(sigma2 * rho) for rho in rhos]  # QPSK's per-axis amplitude
-    weights = []
-    if ratio is not None:
-        weights = [weights_from_ratio(ratio, signal_power(rho, sigma2)) for rho in rhos]
-        amplitudes += [a for w in weights for a in _stream_amplitudes(w)]
+    weights = [weights_from_ratio(ratio, signal_power(rho, sigma2))
+               for ratio in ratios for rho in rhos]
+    amplitudes += [a for w in weights for a in _stream_amplitudes(w)]
     rates = bpsk_rate_grid(amplitudes, sigma2)
     n = len(rhos)
-    columns = dict(capacity=capacity, r_bpsk=rates[:n], qpsk_rate=2.0 * rates[n:2 * n])
+    per_rho = dict(snr_linear=rhos, capacity=capacity, r_bpsk=rates[:n],
+                   qpsk_rate=2.0 * rates[n:2 * n])
+    columns = {name: np.tile(col, max(len(ratios), 1)) for name, col in per_rho.items()}
     if weights:
         r_z, r_x = _stream_rates(rates[2 * n:])
         r_1 = r_z + r_x
@@ -494,10 +504,9 @@ def operating_point_grid(rhos, ratio: float | None = None, *,
         if exact_mi:
             columns["exact_mi"] = exact_mi_grid(weights, sigma2)
     columns = {name: np.asarray(col).tolist() for name, col in columns.items()}
-    return [OperatingPoint(snr_linear=rho, **{name: col[k] for name, col in columns.items()})
-            for k, rho in enumerate(rhos)]
+    return [OperatingPoint(**dict(zip(columns, values))) for values in zip(*columns.values())]
 
 
 def operating_point(rho: float, ratio: float | None = None) -> OperatingPoint:
     """The one-point case of ``operating_point_grid``."""
-    return operating_point_grid([rho], ratio)[0]
+    return operating_point_grid([rho], () if ratio is None else (ratio,))[0]

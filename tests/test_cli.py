@@ -39,6 +39,14 @@ class TestRateSweep:
         assert len(rows) == 4  # 2 ratios x 2 grid points, ratio-major
         assert [row[1] for row in rows] == ["2", "2", "4", "4"]
 
+    def test_repeated_ratio_prints_both_blocks(self, capsys):
+        grid = ("--min-db", "-4", "--max-db", "-1", "--step-db", "1")
+        _, once, _ = _run(capsys, "rate-sweep", *grid, "--ratio", "2")
+        code, twice, _ = _run(capsys, "rate-sweep", *grid, "--ratio", "2", "--ratio", "2")
+        assert code == 0
+        block = once.split("\n", 1)[1]
+        assert twice == once + block and block.count("\n") == 3
+
     def test_empty_grid_gives_header_only(self, capsys):
         code, out, _ = _run(capsys, "rate-sweep", "--min-db", "5", "--max-db", "5",
                             "--step-db", "1")

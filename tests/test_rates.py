@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layered_bpsk import quadrature
+from layered_bpsk import quadrature, rates
 from layered_bpsk.cli import main
 from layered_bpsk.core import WeightPair, weights_from_ratio
 from layered_bpsk.quadrature import node_counts
@@ -328,6 +328,13 @@ class TestMixtureMi:
         with pytest.raises(ValueError, match="symmetric"):
             mixture_mi((2.0, 0.5), 1.0)
 
+    @pytest.mark.parametrize("points", [(-30.0, -30.0, 30.0, 30.0),
+                                        (-1e200, -1e200, 1e200, 1e200)])
+    def test_repeated_points_rejected(self, points):
+        # A repeated point would make the distinct points unequally likely.
+        with pytest.raises(ValueError, match="distinct"):
+            mixture_mi(points, 1.0)
+
 
 class TestOneEntry:
     """``mixture_mi``, ``bpsk_rate`` and ``exact_mi_1d`` share one entry,
@@ -524,17 +531,31 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def _spy_integrate(monkeypatch):
-    """Record the node count of every ``integrate`` call the rates make."""
-    calls = []
-    integrate = quadrature.integrate
+def _spy_blocks(monkeypatch):
+    """Record (rows, nodes, terms) of every ``integrate`` call the rates
+    make through ``quadrature.expect``: one block of rows, its node count,
+    and the values per node its integrand keeps."""
+    calls, held = [], []
+    integrate, expect = quadrature.integrate, quadrature.expect
 
-    def spy(f, step):
-        calls.append(int(node_counts(step).sum()))
+    def spy_expect(*args, terms=1):
+        held.append(terms)
+        return expect(*args, terms=terms)
+
+    def spy_integrate(f, step):
+        calls.append((np.size(step), int(node_counts(step).sum()), held[-1]))
         return integrate(f, step)
 
-    monkeypatch.setattr(quadrature, "integrate", spy)
+    monkeypatch.setattr(quadrature, "expect", spy_expect)
+    monkeypatch.setattr(quadrature, "integrate", spy_integrate)
     return calls
+
+
+def _within_block(calls):
+    """Every block is one row or holds at most ``_BLOCK`` values, nodes
+    times terms, and no block has more than ``_BLOCK`` nodes."""
+    return (all(nodes * terms <= quadrature._BLOCK for rows, nodes, terms in calls if rows > 1)
+            and max(nodes for _, nodes, _ in calls) <= quadrature._BLOCK)
 
 
 class TestGridEqualsOneRow:
@@ -569,13 +590,13 @@ class TestGridEqualsOneRow:
         assert grid[-1] == 2.0
 
     def test_rows_straddle_blocks(self, monkeypatch):
-        calls = _spy_integrate(monkeypatch)
+        calls = _spy_blocks(monkeypatch)
         amplitudes = np.linspace(5.5, 7.0, 240)  # about 670 nodes each
         grid = bpsk_rate_grid(amplitudes, 1.0)
-        assert len(calls) >= 2 and max(calls) <= 2**16
+        assert len(calls) >= 2 and _within_block(calls)
         weights = [WeightPair(a, 1.0) for a in np.linspace(8.0, 20.0, 40)]  # 1200 to 3000 nodes
         mi = exact_mi_grid(weights, 1.0)
-        assert len(calls) >= 5 and max(calls) <= 2**16
+        assert len(calls) >= 5 and _within_block(calls)
         monkeypatch.undo()
         assert _bits(grid) == _bits(bpsk_rate(a, 1.0) for a in amplitudes)
         assert _bits(mi) == _bits(exact_mi_1d(w, 1.0) for w in weights)
@@ -583,7 +604,7 @@ class TestGridEqualsOneRow:
     def test_empty_grids(self):
         assert bpsk_rate_grid([], 1.0).size == 0
         assert exact_mi_grid([], 1.0).size == 0
-        assert operating_point_grid([], 2.0) == []
+        assert operating_point_grid([], (2.0,)) == []
 
     def test_grid_checks_every_row(self):
         with pytest.raises(ValueError, match="amplitude.*-1.0"):
@@ -594,15 +615,35 @@ class TestGridEqualsOneRow:
     @pytest.mark.parametrize("ratio", [None, 1.001, 2.0, 8.0, 1e3])
     def test_operating_point_grid(self, ratio):
         rhos = [0.0 if ratio is None else 1e-9, 1e-3, 0.37, 1.0, 10.0, 10.0 ** 4.5, 1e6]
-        grid = operating_point_grid(rhos, ratio)
+        grid = operating_point_grid(rhos, () if ratio is None else (ratio,))
         assert grid == [operating_point(rho, ratio) for rho in rhos]
 
     def test_operating_point_grid_without_exact_mi(self):
         rhos = [1e-3, 0.37, 10.0, 1e4]
-        lean = operating_point_grid(rhos, 4.0, exact_mi=False)
-        full = operating_point_grid(rhos, 4.0)
+        lean = operating_point_grid(rhos, (4.0,), exact_mi=False)
+        full = operating_point_grid(rhos, (4.0,))
         assert all(p.exact_mi is None for p in lean)
         assert lean == [dataclasses.replace(p, exact_mi=None) for p in full]
+
+
+def _point_bits(points):
+    """Every field of every point, floats as their exact hex, None as None."""
+    return [{name: None if value is None else float(value).hex()
+             for name, value in dataclasses.asdict(p).items()} for p in points]
+
+
+class TestRatioBatch:
+    """``operating_point_grid`` with several ratios equals its single-ratio
+    calls laid end to end, ratio-major, field for field and bit for bit."""
+
+    @pytest.mark.parametrize("rhos", [[1e-9, 1e-3, 0.37, 1.0, 10.0, 10.0 ** 4.5, 1e6], []])
+    @pytest.mark.parametrize("ratios", [(2.0, 1.0000000000001, 1e150), (2.0, 2.0)])
+    @pytest.mark.parametrize("exact_mi", [True, False])
+    def test_batch_is_the_single_ratio_calls(self, rhos, ratios, exact_mi):
+        batch = operating_point_grid(rhos, ratios, exact_mi=exact_mi)
+        single = [p for r in ratios for p in operating_point_grid(rhos, (r,), exact_mi=exact_mi)]
+        assert len(batch) == len(ratios) * len(rhos)
+        assert _point_bits(batch) == _point_bits(single)
 
 
 class TestMixtureMiOddPoints:
@@ -646,8 +687,9 @@ class TestMpmathPins:
 def test_default_rate_sweep_node_budget(monkeypatch, tmp_path):
     # Nodes of every rate integral, counted with quadrature.node_counts.
     # The default capacity-gap evaluates the default rate-sweep's BPSK rates
-    # (300 847 nodes) and no exact MI; the rate-sweep's exact MI takes 86 526
-    # more.  A step rule that widens again fails here.
+    # (212 071 nodes, the baselines once for all three ratios) and no exact
+    # MI; the rate-sweep's exact MI takes 86 526 more.  A step rule that
+    # widens again, or baselines evaluated once per ratio again, fail here.
     nodes = []
     expect = quadrature.expect
 
@@ -662,8 +704,24 @@ def test_default_rate_sweep_node_budget(monkeypatch, tmp_path):
 
     monkeypatch.setattr(quadrature, "expect", spy)
     bpsk = count("capacity-gap")
-    assert bpsk <= 310_000
+    assert bpsk <= 215_000
     assert count("rate-sweep") - bpsk <= 90_000
+
+
+def test_rate_sweep_makes_two_mi_calls(monkeypatch, tmp_path):
+    # One _mi_bits call for every BPSK rate of the sweep, one for every
+    # exact MI, however many ratios.
+    calls = []
+    mi_bits = rates._mi_bits
+
+    def spy(points, sigma2):
+        calls.append(points.shape)
+        return mi_bits(points, sigma2)
+
+    monkeypatch.setattr(rates, "_mi_bits", spy)
+    assert main(["rate-sweep", "--ratio", "2", "--ratio", "4", "--ratio", "8",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == [(80 * 2 + 240 * 3, 2), (240, 4)]
 
 
 class TestBreakdown:
