@@ -25,7 +25,9 @@ class Bit(enum.IntEnum):
         return f"Bit({int(self):+d})"
 
 
-# Largest alpha/beta ratio accepted; its square must stay a finite float.
+# Largest alpha/beta ratio accepted.  Its square stays a finite float, and
+# weights_from_ratio keeps beta a normal float for every power in
+# [2e-300, 2e300], the signal powers of the CLI's dB range.
 MAX_RATIO = 1e150
 
 
@@ -103,13 +105,17 @@ def weights_from_ratio(ratio: float, avg_power: float) -> WeightPair:
     """Build the WeightPair with the given alpha/beta ratio and average power.
 
     Scales the pair (ratio, 1) to the requested power, so sweeps can hold
-    received power fixed while varying the weight split.
+    received power fixed while varying the weight split.  For a power in
+    [2e-300, 2e300] and a ratio up to MAX_RATIO both square roots are normal
+    floats, so beta >= 2e-300, alpha <= 2e150 and the pair holds the
+    requested power to a few ulp.
     """
     if not math.isfinite(ratio) or not 1.0 < ratio <= MAX_RATIO:
         raise ValueError(f"ratio must be a finite number in (1, {MAX_RATIO:g}], got {ratio!r}")
     if not math.isfinite(avg_power) or avg_power <= 0.0:
         raise ValueError(f"avg_power must be a finite number > 0, got {avg_power!r}")
-    beta = math.sqrt(avg_power / mean_power((ratio, 0.5)))  # the power of (ratio, 1)
+    # mean_power((ratio, 0.5)) is the power of the pair (ratio, 1).
+    beta = math.sqrt(avg_power) / math.sqrt(mean_power((ratio, 0.5)))
     return WeightPair(alpha=ratio * beta, beta=beta)
 
 

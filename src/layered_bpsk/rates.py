@@ -14,8 +14,9 @@ Two domains coexist here and are kept explicit throughout:
   complex-baseband channel whose total noise power is ``N0 = 2 * sigma2``.
   ``signal_power(rho, sigma2)`` is the one place that power, 2 * sigma2 * rho,
   is formed: ``snr_to_amplitude``, the layer weights of
-  ``operating_point_grid`` and the CLI's grid check and ``ber`` weights read
-  it.  Under this standard normalization the capacity, BPSK and QPSK curves all
+  ``operating_point_grid`` and the CLI's ``ber`` weights read it, and every
+  power of the CLI's dB range, 2e-300 to 2e300, gives valid layer weights.
+  Under this standard normalization the capacity, BPSK and QPSK curves all
   leave the origin with slope log2(e), and conventional BPSK's rho/R ratio
   approaches ln 2 = -1.59 dB, the usual low-rate power limit.  The equivalent
   per-stream SNRs, ``rho_bpsk`` for the first stream and ``rho_x`` for the

@@ -26,6 +26,15 @@ def _rows(text):
     return header, [line.split(",") for line in lines[1:]]
 
 
+def _assert_finite_rows(capsys, argv, n_rows):
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    header, rows = _rows(out)
+    assert len(rows) == n_rows
+    assert all(math.isfinite(float(cell)) for row in rows
+               for name, cell in zip(header, row) if name != "mode")
+
+
 class TestRateSweep:
     def test_header_and_shape(self, capsys):
         code, out, err = _run(capsys, "rate-sweep", "--min-db", "-4", "--max-db", "-2",
@@ -339,26 +348,6 @@ class TestFailureModes:
         assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
         assert flag in err
 
-    @pytest.mark.parametrize("command", ["rate-sweep", "capacity-gap", "ber"])
-    def test_weights_underflowing_at_the_grid_start_name_the_flags(self, capsys, command):
-        # beta**2 = 2e-300 / (0.5e300 + 0.125) underflows to 0.
-        code, out, err = _run(capsys, command, "--min-db", "-3000", "--max-db", "-2998",
-                              "--ratio", "1e150")
-        assert code == 1 and out == ""
-        assert err.startswith("layered-bpsk: error:") and err.count("\n") == 1
-        assert "--ratio" in err and "--min-db" in err
-
-    @pytest.mark.parametrize("argv, values", [
-        (("ber", "--min-db", "-2999.0078125", "--max-db", "-2999",
-          "--ratio", "9.87654321e149"), ("9.87654321e+149", "-2999.0078125")),
-        (("rate-sweep", "--min-db", "-2998.0078125", "--max-db", "-2997",
-          "--ratio", "1.23456789e149"), ("1.23456789e+149", "-2998.0078125")),
-    ])
-    def test_weights_error_prints_the_values_in_full(self, capsys, argv, values):
-        code, _, err = _run(capsys, *argv)
-        assert code == 1 and err.count("\n") == 1
-        assert all(value in err for value in values)
-
     @pytest.mark.parametrize("argv", [
         *(("rate-sweep", "--ratio", r) for r in ("1e150", "1.0000000000001")),
         *(("capacity-gap", "--ratio", r) for r in ("1e150", "1.0000000000001")),
@@ -366,14 +355,23 @@ class TestFailureModes:
         ("appendix",),
     ])
     def test_top_of_the_grid_prints_finite_rows(self, capsys, argv):
-        # At unit noise variance the signal power 2 * rho is at most 2e300 at
-        # +3000 dB, so only the grid start needs a check of the layer weights.
-        code, out, err = _run(capsys, *argv, "--min-db", "2999", "--max-db", "3000")
-        assert (code, err) == (0, "")
-        header, rows = _rows(out)
-        assert len(rows) == 2
-        assert all(math.isfinite(float(cell)) for row in rows
-                   for name, cell in zip(header, row) if name != "mode")
+        # At unit noise variance the signal power 2 * rho is 2e300 at +3000 dB.
+        _assert_finite_rows(capsys, (*argv, "--min-db", "2999", "--max-db", "3000"), 2)
+
+    @pytest.mark.parametrize("argv, n_rows", [
+        *(((command, *flags, "--min-db", "-3000", "--max-db", "-2998", "--ratio", "1e150"), 4)
+          for command, *flags in (("rate-sweep",), ("capacity-gap",),
+                                  ("ber", "--symbols", "10000"))),
+        (("ber", "--symbols", "10000", "--min-db", "-2999.0078125", "--max-db", "-2999",
+          "--ratio", "9.87654321e149"), 1),
+        (("rate-sweep", "--min-db", "-2998.0078125", "--max-db", "-2997",
+          "--ratio", "1.23456789e149"), 3),
+    ])
+    def test_bottom_of_the_grid_prints_finite_rows(self, capsys, argv, n_rows):
+        # The signal power is 2e-300 at -3000 dB.  At ratio 1e150, beta**2 =
+        # 2e-300 / (0.5e300 + 0.125) lies below the float range, but beta
+        # itself does not.
+        _assert_finite_rows(capsys, argv, n_rows)
 
     @pytest.mark.parametrize("max_db, message", [
         ("1e6", "--max-db"),  # 1e12 points, and beyond the dB bound as well

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,16 @@ class TestWeightsFromRatio:
         w = weights_from_ratio(1e8, 3.0)
         assert w.beta < 1e-7
         assert math.isclose(w.alpha, math.sqrt(6.0), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("ratio", [math.nextafter(1.0, 2.0), 1.0000000000001, 1e150])
+    @pytest.mark.parametrize("power", [2e-300, 2e300])
+    def test_corners_of_the_accepted_domain(self, ratio, power):
+        # 2e-300 and 2e300 are the signal powers at -3000 and +3000 dB, the
+        # ends of the CLI's grid, at unit noise variance.
+        w = weights_from_ratio(ratio, power)
+        assert w.beta >= sys.float_info.min
+        assert math.isfinite(w.alpha) and w.alpha > w.beta
+        assert abs(w.average_power() - power) <= 4 * math.ulp(power)
 
     @settings(max_examples=200)
     @given(ratio=st.floats(min_value=1.000001, max_value=1e6),

@@ -48,7 +48,7 @@ def test_cli_output_digest(case, tmp_path):
 SIM_SYMBOLS = 270_000
 SIM_AMPLITUDE = 1.25
 SIM_POINTS = ((2.0, 2.0, 1.0), (4.0, 1.0, 0.5))  # (ratio, power, sigma2)
-SIM_DIGEST = "32fd29a151073adc1336d221e17e61b7d123fe83981f9e04135e9f64d7224911"
+SIM_DIGEST = "d56d471327b0b8258707bc613818ba5555f043261aa3e3d5fcad39f621237ab9"
 
 
 def _sim_lines():
