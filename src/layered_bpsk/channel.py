@@ -41,8 +41,14 @@ class NoiseStream:
 
 
 def noise_real(shape, stream: NoiseStream) -> np.ndarray:
-    """An array of N(0, sigma2) samples; advances the stream."""
-    return stream.generator.normal(0.0, math.sqrt(stream.spec.sigma2), size=shape)
+    """An array of N(0, sigma2) samples; advances the stream.
+
+    Scaling standard normals in place draws the same bits as
+    ``normal(0.0, sigma)`` without a second array.
+    """
+    noise = stream.generator.standard_normal(shape)
+    noise *= math.sqrt(stream.spec.sigma2)
+    return noise
 
 
 def awgn_real(tx, stream: NoiseStream) -> np.ndarray:

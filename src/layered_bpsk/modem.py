@@ -45,14 +45,9 @@ class Demod2DResult:
     x_hat_prime: Bit
 
 
-def symbol_index(x01, z01, out=None):
-    """Index 2*x01 + z01 of each bit pair into :func:`amplitude_table`.
-
-    ``out`` may be ``x01`` itself, which saves an array the size of the draw.
-    """
-    index = np.multiply(x01, 2, out=out)
-    index += z01
-    return index
+def symbol_index(x01, z01):
+    """Index 2*x01 + z01 of a bit pair into :func:`amplitude_table`."""
+    return 2 * x01 + z01
 
 
 # The inverse of symbol_index: row k holds the (x, z) bits of index k, True

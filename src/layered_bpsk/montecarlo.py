@@ -6,11 +6,12 @@ array of totals; the arrays are added in chunk order.  Because the partition
 depends only on ``n_symbols``, results are bit-identical for any worker
 count.  The ``workers`` field merely parallelizes chunk execution.
 
-Every chunk draws through :func:`_draw`: each axis's bits as two
-``integers(0, 2, dtype=int64)`` arrays, x then z, axis after axis (real axis
-first), and then each axis's noise through
-:func:`layered_bpsk.channel.noise_real` in the same order.  That order and
-dtype fix the random stream, and with it every CSV byte ``ber`` prints.
+Every chunk draws through :func:`_draw`: each axis's symbol indices from
+raw 64-bit PCG64 words, axis after axis (real axis first), and then each
+axis's noise through :func:`layered_bpsk.channel.noise_real` in the same
+order.  Each word gives 32 symbols, two bits each, x the high bit and z the
+low one.  That order and layout fix the random stream, and with it every CSV
+byte ``ber`` prints.
 
 Two passes run on those draws, each with one estimator.  The BER kernel
 simulates one or two axes at a list of grid points and only counts errors.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .channel import NoiseStream, noise_real
 from .core import NoiseSpec, SimReport, WeightPair
-from .modem import _INDEX_BITS, amplitude_table, decide, symbol_index
+from .modem import _INDEX_BITS, amplitude_table, decide
 from .rates import layered_pdf, mixture_pdf
 
 DECISION_FEEDBACK = "decision-feedback"
@@ -46,12 +47,12 @@ GENIE_AIDED = "genie-aided"
 _MODES = (DECISION_FEEDBACK, GENIE_AIDED)
 
 MIN_SYMBOLS = 10_000
-# Largest symbol count of one run, about a minute of one worker's time at
-# roughly 70 ns per symbol at one grid point; a larger count is far more
-# likely a typo.
+# Largest symbol count of one run, about half a minute of one worker's time
+# at roughly 35 ns per symbol at one grid point on a 2-vCPU Xeon; a larger
+# count is far more likely a typo.
 MAX_SYMBOLS = 10**9
 # Largest worker count.  Each running worker thread holds one chunk's arrays,
-# a few MB, and threads beyond the host's cores only wait their turn; a
+# 2 to 5 MB, and threads beyond the host's cores only wait their turn; a
 # larger count is far more likely a typo.
 MAX_WORKERS = 64
 _CHUNK = 1 << 17
@@ -138,30 +139,47 @@ def ber_predictions_1d(w: WeightPair, spec: NoiseSpec, mode: str) -> tuple[float
 
 def _run_chunks(cfg: SimConfig, chunk_fn) -> np.ndarray:
     """Run chunk_fn(stream, size) over the fixed partition, chunk k on
-    ``NoiseStream(cfg.seed, k)``; add its arrays in chunk order."""
+    ``NoiseStream(cfg.seed, k)``; add its arrays in chunk order.
+
+    One worker runs the chunks in the calling thread, which spares a pool
+    thread and the malloc arena it would fill.
+    """
     sizes = [min(_CHUNK, cfg.n_symbols - start) for start in range(0, cfg.n_symbols, _CHUNK)]
 
     def run(stream_id: int, size: int) -> np.ndarray:
         return chunk_fn(NoiseStream(cfg.seed, stream_id, cfg.spec), size)
 
+    if cfg.workers == 1:
+        return sum(map(run, range(len(sizes)), sizes))
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return sum(pool.map(run, range(len(sizes)), sizes))
+
+
+# Entry b holds the four 2-bit fields of byte b, high bits first, as the four
+# bytes of one uint32, so one take gives a byte's four symbols.  A field is
+# the symbol index 2*x + z of its (x, z) bits.  Built from Python ints:
+# building it with numpy operations at import raised the peak memory of the
+# rate workloads in perfbench by 64 KB.
+_BYTE_INDICES = np.frombuffer(bytes(b >> shift & 3 for b in range(256) for shift in (6, 4, 2, 0)),
+                              np.uint32)
 
 
 def _draw(stream: NoiseStream, size: int, axes: int):
     """One chunk's symbols and noise on ``axes`` axes, in the module's draw order.
 
-    Returns a list of each axis's :func:`layered_bpsk.modem.symbol_index`,
-    written over its x draw, and a list of each axis's noise.
+    Each axis draws ceil(size / 32) raw words from the generator's PCG64 and
+    reads them as little-endian bytes, so the symbols do not depend on the
+    machine's byte order.  Byte j gives symbols 4j to 4j + 3 from its bits
+    7-6, 5-4, 3-2 and 1-0, and the fields past ``size`` in the last word are
+    dropped.  Returns a list of each axis's uint8 symbol index and a list of
+    each axis's noise.
     """
-    def bits() -> np.ndarray:
-        return stream.generator.integers(0, 2, size=size, dtype=np.int64)
+    def indices() -> np.ndarray:
+        words = stream.generator.bit_generator.random_raw((size + 31) // 32)
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        return _BYTE_INDICES.take(octets).view(np.uint8)[:size]
 
-    indices = []
-    for _ in range(axes):
-        x01 = bits()
-        indices.append(symbol_index(x01, bits(), out=x01))
-    return indices, [noise_real(size, stream) for _ in range(axes)]
+    return [indices() for _ in range(axes)], [noise_real(size, stream) for _ in range(axes)]
 
 
 def _threshold(a: float, c: float) -> float:

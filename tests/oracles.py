@@ -112,17 +112,23 @@ def per_symbol_errors(seed, n_symbols, chunk, sigma2, axes, genie):
 
     ``axes`` lists each axis's (alpha, beta).  The draws follow the
     simulator's stream: chunk k of ``chunk`` symbols uses the generator
-    seeded with (seed, k) and draws each axis's x and then z bits as int64
-    0/1 arrays, axis after axis, then each axis's N(0, sigma2) noise.  The
-    receiver is the paper's: z_hat = sign(y), then x_hat = sign(y - fb*beta)
-    with fb the decided z (the true z when ``genie``), ties deciding +1.
+    seeded with (seed, k).  Axis after axis, it takes ceil(size / 32) raw
+    64-bit words of the generator's PCG64 and reads them as little-endian
+    bytes, most significant bit first, as x and z of the first symbol, x and
+    z of the next, and so on, dropping the bits past the chunk's last
+    symbol; then each axis's N(0, sigma2) noise.  The receiver is the
+    paper's: z_hat = sign(y), then x_hat = sign(y - fb*beta) with fb the
+    decided z (the true z when ``genie``), ties deciding +1.
     """
     errors = np.zeros((len(axes), 2), dtype=np.int64)
     for stream_id, start in enumerate(range(0, n_symbols, chunk)):
         size = min(chunk, n_symbols - start)
         rng = np.random.default_rng((seed, stream_id))
-        bits = [[2 * rng.integers(0, 2, size=size, dtype=np.int64) - 1 for _ in "xz"]
-                for _ in axes]
+        bits = []
+        for _ in axes:
+            words = rng.bit_generator.random_raw(-(-size // 32)).astype("<u8")
+            signs = 2 * np.unpackbits(words.view(np.uint8))[:2 * size].astype(np.int64) - 1
+            bits.append((signs[0::2], signs[1::2]))
         for (x, z), (alpha, beta), axis_errors in zip(bits, axes, errors):
             amplitude = np.where(x == z, alpha * z, 0.5 * beta * z)
             y = amplitude + rng.normal(0.0, math.sqrt(sigma2), size=size)

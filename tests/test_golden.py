@@ -27,10 +27,10 @@ GOLDEN = {
         "cdfbadfd8fec99056eac71d5e22d8232b265b0f354102a6f823f671b05891c04"),
     "ber-decision-feedback": (
         BER_GRID,
-        "2f9576e36ff19872a007d0116531a7683233d1d2ce6a288b8926b356fb8ea73b"),
+        "8698509d938c4b3f96505e11074831c50a0c9573a0d752cd9a3be03bce9c8a4a"),
     "ber-genie-aided": (
         BER_GRID + ("--mode", "genie-aided"),
-        "dcdf9a1766f880901b1d8d0c7d9532f4e8c654a2e8eef1e5eef63684f880b7f8"),
+        "28245d5d610569c0791c1c50179b575c8dee7171e03bcf228ad4e1ff4ad0473d"),
 }
 
 
@@ -48,7 +48,7 @@ def test_cli_output_digest(case, tmp_path):
 SIM_SYMBOLS = 270_000
 SIM_AMPLITUDE = 1.25
 SIM_POINTS = ((2.0, 2.0, 1.0), (4.0, 1.0, 0.5))  # (ratio, power, sigma2)
-SIM_DIGEST = "d56d471327b0b8258707bc613818ba5555f043261aa3e3d5fcad39f621237ab9"
+SIM_DIGEST = "f89043bf687ef172bb35d2d215e1918db5c9b4bea62ede1292f878c901c9579c"
 
 
 def _sim_lines():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import statistics
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import special
 
+from layered_bpsk import montecarlo
 from layered_bpsk.channel import NoiseStream
 from layered_bpsk.core import MAX_RATIO, NoiseSpec, WeightPair, weights_from_ratio
 from layered_bpsk.modem import amplitude_table
@@ -103,18 +105,24 @@ class TestConfigValidation:
 class TestDraw:
     @pytest.mark.parametrize("axes", [1, 2])
     def test_order_matches_reference_generator(self, axes):
-        # x0, z0 (then x1, z1), each one int64 draw from {0, 1}, then each
-        # axis's noise: the stream every golden ber digest depends on.
-        n, sigma2 = 1000, 0.25
-        indices, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
-        reference = np.random.default_rng((5, 3))
-        bits = [reference.integers(0, 2, size=n, dtype=np.int64) for _ in range(2 * axes)]
-        assert len(indices) == len(noise) == axes
-        for index, x01, z01 in zip(indices, bits[0::2], bits[1::2]):
-            assert np.array_equal(index, 2 * x01 + z01)
-        for axis_noise in noise:
-            assert np.array_equal(axis_noise, reference.normal(0.0, math.sqrt(sigma2), size=n))
-        assert set(np.unique(bits)) == {0, 1}
+        # Each axis's ceil(n / 32) raw PCG64 words as little-endian bytes,
+        # bit by bit from the most significant: x0, z0, x1, z1 and so on, the
+        # bits past symbol n dropped.  Then each axis's noise: the stream
+        # every golden ber digest depends on.  No n is a multiple of 32.
+        sigma2 = 0.25
+        for n in (31, 1000, 10001):
+            indices, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
+            reference = np.random.default_rng((5, 3))
+            assert len(indices) == len(noise) == axes
+            for index in indices:
+                words = reference.bit_generator.random_raw(-(-n // 32)).astype("<u8")
+                bits = np.unpackbits(words.view(np.uint8))[:2 * n]
+                assert index.dtype == np.uint8
+                assert np.array_equal(index, 2 * bits[0::2] + bits[1::2])
+            for axis_noise in noise:
+                assert np.array_equal(axis_noise,
+                                      reference.normal(0.0, math.sqrt(sigma2), size=n))
+            assert set(np.unique(indices)) == {0, 1, 2, 3}
 
 
 def _reaches_level_first(a, c, tau):
@@ -199,6 +207,17 @@ class TestSimulate1D:
 
     def test_worker_count_does_not_change_report(self):
         assert simulate_1d(_cfg(workers=1)) == simulate_1d(_cfg(workers=3))
+
+    def test_one_worker_runs_every_chunk_in_the_calling_thread(self, monkeypatch):
+        threads = []
+
+        def draw(stream, size, axes):
+            threads.append(threading.get_ident())
+            return _draw(stream, size, axes)
+
+        monkeypatch.setattr(montecarlo, "_draw", draw)
+        simulate_1d(_cfg(n_symbols=2 * _CHUNK + 7_777, workers=1))
+        assert threads == [threading.get_ident()] * 3
 
     def test_confidence_radius_formula(self):
         report = simulate_1d(_cfg(n_symbols=100_000))
