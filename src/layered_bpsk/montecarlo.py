@@ -6,20 +6,22 @@ array of totals; the arrays are added in chunk order.  Because the partition
 depends only on ``n_symbols``, results are bit-identical for any worker
 count.  The ``workers`` field merely parallelizes chunk execution.
 
-Every chunk draws through :func:`_draw`: each axis's symbol indices from
-raw 64-bit PCG64 words, axis after axis (real axis first), and then each
-axis's noise through :func:`layered_bpsk.channel.noise_real` in the same
-order.  Each word gives 32 symbols, two bits each, x the high bit and z the
-low one.  That order and layout fix the random stream, and with it every CSV
-byte ``ber`` prints.
+Every chunk draws through :func:`_draw`: each axis's symbols from raw
+64-bit PCG64 words, axis after axis (real axis first), and then each axis's
+noise through :func:`layered_bpsk.channel.noise_real` in the same order.
+Each word gives 32 symbols, two bits each, x the high bit and z the low one.
+A chunk keeps only how many symbols hold each index 2*x + z, and gives its
+noise to the symbols in class order: index 0 first, then 1, 2 and 3.  That
+order and layout fix the random stream, and with it every CSV byte ``ber``
+prints.
 
 Two passes run on those draws, each with one estimator.  The BER kernel
 simulates one or two axes at a list of grid points and only counts errors.
 Its draws are made once per chunk and shared by all grid points (common
 random numbers), and it counts by thresholds, not symbol by symbol: a chunk
-splits the noise by symbol index and sorts each class once, and a binary
-search finds, for every grid point, how much of a class's noise lifts its
-amplitude past each level the receiver compares with.
+sorts each class's contiguous slice of the noise once, in place, and a
+binary search finds, for every grid point, how much of a class's noise lifts
+its amplitude past each level the receiver compares with.
 :func:`layered_bpsk.modem.decide` then decides once per region between
 those levels.  Point k of :func:`sweep_1d` therefore reports exactly what
 :func:`simulate_1d` reports at its weights, and ``ber`` runs its whole grid
@@ -47,12 +49,12 @@ GENIE_AIDED = "genie-aided"
 _MODES = (DECISION_FEEDBACK, GENIE_AIDED)
 
 MIN_SYMBOLS = 10_000
-# Largest symbol count of one run, about half a minute of one worker's time
-# at roughly 35 ns per symbol at one grid point on a 2-vCPU Xeon; a larger
+# Largest symbol count of one run, under half a minute of one worker's time
+# at roughly 27 ns per symbol at one grid point on a 2-vCPU Xeon; a larger
 # count is far more likely a typo.
 MAX_SYMBOLS = 10**9
 # Largest worker count.  Each running worker thread holds one chunk's arrays,
-# 2 to 5 MB, and threads beyond the host's cores only wait their turn; a
+# 1 to 5 MB, and threads beyond the host's cores only wait their turn; a
 # larger count is far more likely a typo.
 MAX_WORKERS = 64
 _CHUNK = 1 << 17
@@ -155,31 +157,40 @@ def _run_chunks(cfg: SimConfig, chunk_fn) -> np.ndarray:
         return sum(pool.map(run, range(len(sizes)), sizes))
 
 
-# Entry b holds the four 2-bit fields of byte b, high bits first, as the four
-# bytes of one uint32, so one take gives a byte's four symbols.  A field is
-# the symbol index 2*x + z of its (x, z) bits.  Built from Python ints:
-# building it with numpy operations at import raised the peak memory of the
-# rate workloads in perfbench by 64 KB.
-_BYTE_INDICES = np.frombuffer(bytes(b >> shift & 3 for b in range(256) for shift in (6, 4, 2, 0)),
-                              np.uint32)
+# Row b counts how many of byte b's four 2-bit fields hold each symbol index
+# 2*x + z, so a byte histogram times this table gives an axis's class sizes.
+# Built from Python ints: building a table with numpy operations at import
+# raised the peak memory of the rate workloads in perfbench by 64 KB.
+_BYTE_COUNTS = np.frombuffer(
+    bytes((b >> 6 == k) + (b >> 4 & 3 == k) + (b >> 2 & 3 == k) + (b & 3 == k)
+          for b in range(256) for k in range(4)),
+    np.uint8).reshape(256, 4)
 
 
 def _draw(stream: NoiseStream, size: int, axes: int):
-    """One chunk's symbols and noise on ``axes`` axes, in the module's draw order.
+    """One chunk's class sizes and noise on ``axes`` axes, in the module's draw order.
 
     Each axis draws ceil(size / 32) raw words from the generator's PCG64 and
     reads them as little-endian bytes, so the symbols do not depend on the
     machine's byte order.  Byte j gives symbols 4j to 4j + 3 from its bits
     7-6, 5-4, 3-2 and 1-0, and the fields past ``size`` in the last word are
-    dropped.  Returns a list of each axis's uint8 symbol index and a list of
-    each axis's noise.
+    dropped.  Only each class's size is kept: an axis's noise goes to its
+    symbols in class order, its first m0 samples to the symbols of index 0
+    in position order, the next m1 to those of index 1, and so on.  The
+    noise is i.i.d. and drawn apart from the bits, so that pairing leaves
+    the channel law unchanged.  Returns a list of each axis's four class
+    sizes and a list of each axis's noise.
     """
-    def indices() -> np.ndarray:
+    def class_sizes() -> np.ndarray:
         words = stream.generator.bit_generator.random_raw((size + 31) // 32)
         octets = words.astype("<u8", copy=False).view(np.uint8)
-        return _BYTE_INDICES.take(octets).view(np.uint8)[:size]
+        full, rest = divmod(size, 4)
+        sizes = np.bincount(octets[:full], minlength=256) @ _BYTE_COUNTS
+        for shift in (6, 4, 2, 0)[:rest]:
+            sizes[octets[full] >> shift & 3] += 1
+        return sizes
 
-    return [indices() for _ in range(axes)], [noise_real(size, stream) for _ in range(axes)]
+    return [class_sizes() for _ in range(axes)], [noise_real(size, stream) for _ in range(axes)]
 
 
 def _threshold(a: float, c: float) -> float:
@@ -202,13 +213,6 @@ def _threshold(a: float, c: float) -> float:
     return n
 
 
-def _class_noise(noise: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
-    """The noise of the symbols with index ``k``, sorted."""
-    class_noise = np.compress(index == k, noise)
-    class_noise.sort()
-    return class_noise
-
-
 _X_BITS, _Z_BITS = _INDEX_BITS.T
 
 
@@ -220,15 +224,15 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[
     receives y = fl(a + n) for noise n, and the receiver only compares y
     with -beta, 0 and beta.  ``_threshold(a, c)`` is the least noise with
     y >= c, so the class's noise below its three thresholds splits into four
-    regions, each of one set of decisions.  A chunk sorts each class's noise
-    once and returns its count below every threshold of every point, and
-    below +inf, which is the class's size, in an array of shape
-    (axes, 4 classes, 4 * points).  After the chunks are added,
-    :func:`layered_bpsk.modem.decide` runs once per region on its lowest
-    received sample (-inf, -beta, 0 or beta), and the region's count adds to
-    the errors its decisions make against the class's bits.  In genie-aided
-    mode the second stage subtracts the class's true z instead of the
-    decision, isolating error propagation.
+    regions, each of one set of decisions.  A chunk sorts in place each
+    class's slice of the noise, as :func:`_draw` pairs them, and returns its
+    count below every threshold of every point, and below +inf, which is the
+    class's size, in an array of shape (axes, 4 classes, 4 * points).  After
+    the chunks are added, :func:`layered_bpsk.modem.decide` runs once per
+    region on its lowest received sample (-inf, -beta, 0 or beta), and the
+    region's count adds to the errors its decisions make against the class's
+    bits.  In genie-aided mode the second stage subtracts the class's true z
+    instead of the decision, isolating error propagation.
     """
     if not points:
         return []
@@ -240,10 +244,15 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[
     searched = tau.transpose(1, 2, 0, 3).reshape(axes, 4, -1)
 
     def chunk(stream: NoiseStream, size: int) -> np.ndarray:
-        indices, noise = _draw(stream, size, axes)
-        return np.array([[np.searchsorted(_class_noise(axis_noise, index, k), thresholds)
-                          for k, thresholds in enumerate(axis_searched)]
-                         for index, axis_noise, axis_searched in zip(indices, noise, searched)])
+        sizes, noise = _draw(stream, size, axes)
+        rows = []
+        for axis_sizes, axis_noise, axis_searched in zip(sizes, noise, searched):
+            classes = np.split(axis_noise, np.cumsum(axis_sizes[:-1]))
+            for class_noise in classes:
+                class_noise.sort()
+            rows.append([np.searchsorted(class_noise, thresholds)
+                         for class_noise, thresholds in zip(classes, axis_searched)])
+        return np.array(rows)
 
     below = _run_chunks(cfg, chunk).reshape(axes, 4, len(points), 4).transpose(2, 0, 1, 3)
     counts = np.diff(below, axis=-1, prepend=0)
@@ -299,7 +308,8 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
     p is its four-point mixture density.  Passing an amplitude simulates
     plain antipodal signalling at that amplitude instead (0 gives pure
     noise), with p the matching two-point mixture.  Either way a chunk draws
-    what :func:`simulate_1d` draws; the antipodal sign is the z bit.
+    what :func:`simulate_1d` draws, and each class's amplitude, repeated by
+    its size, meets its slice of the noise; the antipodal sign is the z bit.
     """
     if amplitude is None:
         table, density, shape = amplitude_table(cfg.w), layered_pdf, cfg.w
@@ -310,8 +320,8 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
         table, density, shape = np.where(_Z_BITS, amplitude, -amplitude), mixture_pdf, amplitude
 
     def chunk(stream: NoiseStream, size: int) -> np.ndarray:
-        [index], [noise] = _draw(stream, size, 1)
-        neg_log2_p = -np.log2(density(table[index] + noise, shape, cfg.spec.sigma2))
+        [sizes], [noise] = _draw(stream, size, 1)
+        neg_log2_p = -np.log2(density(np.repeat(table, sizes) + noise, shape, cfg.spec.sigma2))
         return np.array([neg_log2_p.sum(), (neg_log2_p * neg_log2_p).sum()])
 
     n = cfg.n_symbols

@@ -116,9 +116,11 @@ def per_symbol_errors(seed, n_symbols, chunk, sigma2, axes, genie):
     64-bit words of the generator's PCG64 and reads them as little-endian
     bytes, most significant bit first, as x and z of the first symbol, x and
     z of the next, and so on, dropping the bits past the chunk's last
-    symbol; then each axis's N(0, sigma2) noise.  The receiver is the
-    paper's: z_hat = sign(y), then x_hat = sign(y - fb*beta) with fb the
-    decided z (the true z when ``genie``), ties deciding +1.
+    symbol; then each axis's N(0, sigma2) noise.  Noise sample j goes to the
+    j-th symbol in class order: the symbols of index 2*x + z = 0 in position
+    order, then those of index 1, 2 and 3.  The receiver is the paper's:
+    z_hat = sign(y), then x_hat = sign(y - fb*beta) with fb the decided z
+    (the true z when ``genie``), ties deciding +1.
     """
     errors = np.zeros((len(axes), 2), dtype=np.int64)
     for stream_id, start in enumerate(range(0, n_symbols, chunk)):
@@ -131,7 +133,11 @@ def per_symbol_errors(seed, n_symbols, chunk, sigma2, axes, genie):
             bits.append((signs[0::2], signs[1::2]))
         for (x, z), (alpha, beta), axis_errors in zip(bits, axes, errors):
             amplitude = np.where(x == z, alpha * z, 0.5 * beta * z)
-            y = amplitude + rng.normal(0.0, math.sqrt(sigma2), size=size)
+            noise = np.empty(size)
+            # 2*x + z over the +-1 signs orders the symbols as their index does.
+            noise[np.argsort(2 * x + z, kind="stable")] = rng.normal(0.0, math.sqrt(sigma2),
+                                                                     size=size)
+            y = amplitude + noise
             z_hat = np.where(y >= 0.0, 1, -1)
             x_hat = np.where(y - (z if genie else z_hat) * beta >= 0.0, 1, -1)
             axis_errors += [np.count_nonzero(z_hat != z), np.count_nonzero(x_hat != x)]

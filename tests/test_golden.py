@@ -27,10 +27,10 @@ GOLDEN = {
         "cdfbadfd8fec99056eac71d5e22d8232b265b0f354102a6f823f671b05891c04"),
     "ber-decision-feedback": (
         BER_GRID,
-        "8698509d938c4b3f96505e11074831c50a0c9573a0d752cd9a3be03bce9c8a4a"),
+        "ae493711a32525b0f98b484a2acba1337b8ed275ac7cc643b775834ea84034bc"),
     "ber-genie-aided": (
         BER_GRID + ("--mode", "genie-aided"),
-        "28245d5d610569c0791c1c50179b575c8dee7171e03bcf228ad4e1ff4ad0473d"),
+        "36b357c68ea18275adb21079bef52dd27899afa92e0817448e5d2c189c02cba4"),
 }
 
 
@@ -48,7 +48,7 @@ def test_cli_output_digest(case, tmp_path):
 SIM_SYMBOLS = 270_000
 SIM_AMPLITUDE = 1.25
 SIM_POINTS = ((2.0, 2.0, 1.0), (4.0, 1.0, 0.5))  # (ratio, power, sigma2)
-SIM_DIGEST = "f89043bf687ef172bb35d2d215e1918db5c9b4bea62ede1292f878c901c9579c"
+SIM_DIGEST = "833f27ac543394bb6c17f089f471cad8722df855b5a0762cb6fed4c7dda7dc17"
 
 
 def _sim_lines():

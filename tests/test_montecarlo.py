@@ -107,22 +107,29 @@ class TestDraw:
     def test_order_matches_reference_generator(self, axes):
         # Each axis's ceil(n / 32) raw PCG64 words as little-endian bytes,
         # bit by bit from the most significant: x0, z0, x1, z1 and so on, the
-        # bits past symbol n dropped.  Then each axis's noise: the stream
-        # every golden ber digest depends on.  No n is a multiple of 32.
+        # bits past symbol n dropped, of which each axis keeps its class
+        # sizes.  Then each axis's noise: the stream every golden ber digest
+        # depends on.  No n is a multiple of 32, and n mod 4 takes every value.
         sigma2 = 0.25
-        for n in (31, 1000, 10001):
-            indices, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
+        for n in (31, 1000, 10001, 10002):
+            sizes, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
             reference = np.random.default_rng((5, 3))
-            assert len(indices) == len(noise) == axes
-            for index in indices:
+            assert len(sizes) == len(noise) == axes
+            for axis_sizes in sizes:
                 words = reference.bit_generator.random_raw(-(-n // 32)).astype("<u8")
                 bits = np.unpackbits(words.view(np.uint8))[:2 * n]
-                assert index.dtype == np.uint8
-                assert np.array_equal(index, 2 * bits[0::2] + bits[1::2])
+                index = 2 * bits[0::2] + bits[1::2]
+                assert axis_sizes.tolist() == np.bincount(index, minlength=4).tolist()
             for axis_noise in noise:
                 assert np.array_equal(axis_noise,
                                       reference.normal(0.0, math.sqrt(sigma2), size=n))
-            assert set(np.unique(indices)) == {0, 1, 2, 3}
+
+    def test_byte_counts_match_a_per_byte_decode(self):
+        assert montecarlo._BYTE_COUNTS.shape == (256, 4)
+        for byte, counts in enumerate(montecarlo._BYTE_COUNTS.tolist()):
+            fields = np.unpackbits(np.array([byte], np.uint8)).reshape(4, 2)
+            assert sum(counts) == 4
+            assert counts == np.bincount(2 * fields[:, 0] + fields[:, 1], minlength=4).tolist()
 
 
 def _reaches_level_first(a, c, tau):
