@@ -6,14 +6,12 @@ array of totals; the arrays are added in chunk order.  Because the partition
 depends only on ``n_symbols``, results are bit-identical for any worker
 count.  The ``workers`` field merely parallelizes chunk execution.
 
-Every chunk draws through :func:`_draw`: each axis's symbols from raw
-64-bit PCG64 words, axis after axis (real axis first), and then each axis's
-noise through :func:`layered_bpsk.channel.noise_real` in the same order.
-Each word gives 32 symbols, two bits each, x the high bit and z the low one.
-A chunk keeps only how many symbols hold each index 2*x + z, and gives its
-noise to the symbols in class order: index 0 first, then 1, 2 and 3.  That
-order and layout fix the random stream, and with it every CSV byte ``ber``
-prints.
+Every chunk draws through :func:`_draw`: the class sizes of all its axes in
+one multinomial draw, how many of the chunk's equiprobable symbols hold each
+index 2*x + z, and then each axis's noise through
+:func:`layered_bpsk.channel.noise_real`, real axis first.  The noise goes to
+the symbols in class order: index 0 first, then 1, 2 and 3.  That order
+fixes the random stream, and with it every CSV byte ``ber`` prints.
 
 Two passes run on those draws, each with one estimator.  The BER kernel
 simulates one or two axes at a list of grid points and only counts errors.
@@ -157,40 +155,21 @@ def _run_chunks(cfg: SimConfig, chunk_fn) -> np.ndarray:
         return sum(pool.map(run, range(len(sizes)), sizes))
 
 
-# Row b counts how many of byte b's four 2-bit fields hold each symbol index
-# 2*x + z, so a byte histogram times this table gives an axis's class sizes.
-# Built from Python ints: building a table with numpy operations at import
-# raised the peak memory of the rate workloads in perfbench by 64 KB.
-_BYTE_COUNTS = np.frombuffer(
-    bytes((b >> 6 == k) + (b >> 4 & 3 == k) + (b >> 2 & 3 == k) + (b & 3 == k)
-          for b in range(256) for k in range(4)),
-    np.uint8).reshape(256, 4)
-
-
 def _draw(stream: NoiseStream, size: int, axes: int):
     """One chunk's class sizes and noise on ``axes`` axes, in the module's draw order.
 
-    Each axis draws ceil(size / 32) raw words from the generator's PCG64 and
-    reads them as little-endian bytes, so the symbols do not depend on the
-    machine's byte order.  Byte j gives symbols 4j to 4j + 3 from its bits
-    7-6, 5-4, 3-2 and 1-0, and the fields past ``size`` in the last word are
-    dropped.  Only each class's size is kept: an axis's noise goes to its
-    symbols in class order, its first m0 samples to the symbols of index 0
-    in position order, the next m1 to those of index 1, and so on.  The
-    noise is i.i.d. and drawn apart from the bits, so that pairing leaves
-    the channel law unchanged.  Returns a list of each axis's four class
-    sizes and a list of each axis's noise.
+    The two bits of a symbol are independent and equiprobable, so an axis's
+    four class sizes, how many of its ``size`` symbols hold each index
+    2*x + z, follow Multinomial(size; 1/4, 1/4, 1/4, 1/4); one draw gives
+    them for every axis.  An axis's noise goes to its symbols in class
+    order, its first m0 samples to the symbols of index 0, the next m1 to
+    those of index 1, and so on.  The noise is i.i.d. and drawn apart from
+    the class sizes, so that pairing leaves the channel law unchanged.
+    Returns an array of each axis's four class sizes, one row per axis, and
+    a list of each axis's noise.
     """
-    def class_sizes() -> np.ndarray:
-        words = stream.generator.bit_generator.random_raw((size + 31) // 32)
-        octets = words.astype("<u8", copy=False).view(np.uint8)
-        full, rest = divmod(size, 4)
-        sizes = np.bincount(octets[:full], minlength=256) @ _BYTE_COUNTS
-        for shift in (6, 4, 2, 0)[:rest]:
-            sizes[octets[full] >> shift & 3] += 1
-        return sizes
-
-    return [class_sizes() for _ in range(axes)], [noise_real(size, stream) for _ in range(axes)]
+    sizes = stream.generator.multinomial(size, [0.25] * 4, size=axes)
+    return sizes, [noise_real(size, stream) for _ in range(axes)]
 
 
 def _threshold(a: float, c: float) -> float:
@@ -219,12 +198,13 @@ _X_BITS, _Z_BITS = _INDEX_BITS.T
 def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[SimReport]:
     """The layered scheme at each of ``points``, one WeightPair per axis.
 
-    Every point runs on the same bits and noise, counted by thresholds.
-    Class k of a point, the symbols sent at a = ``amplitude_table(w)[k]``,
-    receives y = fl(a + n) for noise n, and the receiver only compares y
-    with -beta, 0 and beta.  ``_threshold(a, c)`` is the least noise with
-    y >= c, so the class's noise below its three thresholds splits into four
-    regions, each of one set of decisions.  A chunk sorts in place each
+    Every point runs on the same class sizes and noise, counted by
+    thresholds.  Class k of a point, the symbols sent at
+    a = ``amplitude_table(w)[k]``, receives y = fl(a + n) for noise n, and
+    the receiver only compares y with -beta, 0 and beta.
+    ``_threshold(a, c)`` is the least noise with y >= c, so the class's
+    noise below its three thresholds splits into four regions, each of one
+    set of decisions.  A chunk sorts in place each
     class's slice of the noise, as :func:`_draw` pairs them, and returns its
     count below every threshold of every point, and below +inf, which is the
     class's size, in an array of shape (axes, 4 classes, 4 * points).  After
@@ -269,9 +249,9 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[
 def sweep_1d(cfg: SimConfig, weights: Sequence[WeightPair]) -> list[SimReport]:
     """``simulate_1d`` at each entry of ``weights`` in place of ``cfg.w``.
 
-    All points share each chunk's bits and noise (common random numbers),
-    so report k equals ``simulate_1d(replace(cfg, w=weights[k]))`` field for
-    field, at a fraction of the cost of running them one by one.
+    All points share each chunk's class sizes and noise (common random
+    numbers), so report k equals ``simulate_1d(replace(cfg, w=weights[k]))``
+    field for field, at a fraction of the cost of running them one by one.
     """
     return _simulate(cfg, [(w,) for w in weights])
 

@@ -112,13 +112,11 @@ def per_symbol_errors(seed, n_symbols, chunk, sigma2, axes, genie):
 
     ``axes`` lists each axis's (alpha, beta).  The draws follow the
     simulator's stream: chunk k of ``chunk`` symbols uses the generator
-    seeded with (seed, k).  Axis after axis, it takes ceil(size / 32) raw
-    64-bit words of the generator's PCG64 and reads them as little-endian
-    bytes, most significant bit first, as x and z of the first symbol, x and
-    z of the next, and so on, dropping the bits past the chunk's last
-    symbol; then each axis's N(0, sigma2) noise.  Noise sample j goes to the
-    j-th symbol in class order: the symbols of index 2*x + z = 0 in position
-    order, then those of index 1, 2 and 3.  The receiver is the paper's:
+    seeded with (seed, k).  It draws every axis's class sizes at once, how
+    many symbols hold each index 2*x + z, as Multinomial(size; 1/4, 1/4,
+    1/4, 1/4), and then each axis's N(0, sigma2) noise.  An axis's symbols
+    are listed in class order, m0 of index 0, then m1 of index 1, and so on,
+    and noise sample j goes to symbol j.  The receiver is the paper's:
     z_hat = sign(y), then x_hat = sign(y - fb*beta) with fb the decided z
     (the true z when ``genie``), ties deciding +1.
     """
@@ -126,18 +124,12 @@ def per_symbol_errors(seed, n_symbols, chunk, sigma2, axes, genie):
     for stream_id, start in enumerate(range(0, n_symbols, chunk)):
         size = min(chunk, n_symbols - start)
         rng = np.random.default_rng((seed, stream_id))
-        bits = []
-        for _ in axes:
-            words = rng.bit_generator.random_raw(-(-size // 32)).astype("<u8")
-            signs = 2 * np.unpackbits(words.view(np.uint8))[:2 * size].astype(np.int64) - 1
-            bits.append((signs[0::2], signs[1::2]))
-        for (x, z), (alpha, beta), axis_errors in zip(bits, axes, errors):
+        sizes = rng.multinomial(size, [0.25] * 4, size=len(axes))
+        for axis_sizes, (alpha, beta), axis_errors in zip(sizes, axes, errors):
+            index = np.repeat(np.arange(4), axis_sizes)
+            x, z = 2 * (index >> 1) - 1, 2 * (index & 1) - 1
             amplitude = np.where(x == z, alpha * z, 0.5 * beta * z)
-            noise = np.empty(size)
-            # 2*x + z over the +-1 signs orders the symbols as their index does.
-            noise[np.argsort(2 * x + z, kind="stable")] = rng.normal(0.0, math.sqrt(sigma2),
-                                                                     size=size)
-            y = amplitude + noise
+            y = amplitude + rng.normal(0.0, math.sqrt(sigma2), size=size)
             z_hat = np.where(y >= 0.0, 1, -1)
             x_hat = np.where(y - (z if genie else z_hat) * beta >= 0.0, 1, -1)
             axis_errors += [np.count_nonzero(z_hat != z), np.count_nonzero(x_hat != x)]

@@ -229,6 +229,15 @@ class TestBer:
         _, second, _ = _run(capsys, *self.ARGS, "--workers", "4")
         assert first == second
 
+    def test_worker_count_does_not_change_bytes_across_chunks(self, capsys):
+        # Two full 2**17-symbol chunks and a partial one, so three workers
+        # really split the run.
+        argv = ("ber", "--min-db", "0", "--max-db", "2", "--step-db", "1",
+                "--symbols", str(2 * 131072 + 7777))
+        _, first, _ = _run(capsys, *argv, "--workers", "1")
+        _, second, _ = _run(capsys, *argv, "--workers", "3")
+        assert first == second
+
     def test_small_symbol_count_is_usage_error(self, capsys):
         code, out, err = _run(capsys, "ber", "--symbols", "100")
         assert code == 1 and out == ""

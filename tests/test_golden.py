@@ -27,10 +27,10 @@ GOLDEN = {
         "cdfbadfd8fec99056eac71d5e22d8232b265b0f354102a6f823f671b05891c04"),
     "ber-decision-feedback": (
         BER_GRID,
-        "ae493711a32525b0f98b484a2acba1337b8ed275ac7cc643b775834ea84034bc"),
+        "5aaaf57334bff43b1b90989a57f9816797ccb91015c8576e34c6aa54c93eafef"),
     "ber-genie-aided": (
         BER_GRID + ("--mode", "genie-aided"),
-        "36b357c68ea18275adb21079bef52dd27899afa92e0817448e5d2c189c02cba4"),
+        "ce8333ecaa461240bb8d53d2274188be3ef538ce524711ef6297f3ca5f334191"),
 }
 
 
@@ -48,7 +48,7 @@ def test_cli_output_digest(case, tmp_path):
 SIM_SYMBOLS = 270_000
 SIM_AMPLITUDE = 1.25
 SIM_POINTS = ((2.0, 2.0, 1.0), (4.0, 1.0, 0.5))  # (ratio, power, sigma2)
-SIM_DIGEST = "833f27ac543394bb6c17f089f471cad8722df855b5a0762cb6fed4c7dda7dc17"
+SIM_DIGEST = "1bb944357e6dc14cc936adcc514caba412b0210fd524f6cefbe128383b2aaeb6"
 
 
 def _sim_lines():

@@ -105,31 +105,18 @@ class TestConfigValidation:
 class TestDraw:
     @pytest.mark.parametrize("axes", [1, 2])
     def test_order_matches_reference_generator(self, axes):
-        # Each axis's ceil(n / 32) raw PCG64 words as little-endian bytes,
-        # bit by bit from the most significant: x0, z0, x1, z1 and so on, the
-        # bits past symbol n dropped, of which each axis keeps its class
-        # sizes.  Then each axis's noise: the stream every golden ber digest
-        # depends on.  No n is a multiple of 32, and n mod 4 takes every value.
+        # Every axis's class sizes in one multinomial draw, then each axis's
+        # noise: the stream every golden ber digest depends on.
         sigma2 = 0.25
         for n in (31, 1000, 10001, 10002):
             sizes, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
             reference = np.random.default_rng((5, 3))
             assert len(sizes) == len(noise) == axes
-            for axis_sizes in sizes:
-                words = reference.bit_generator.random_raw(-(-n // 32)).astype("<u8")
-                bits = np.unpackbits(words.view(np.uint8))[:2 * n]
-                index = 2 * bits[0::2] + bits[1::2]
-                assert axis_sizes.tolist() == np.bincount(index, minlength=4).tolist()
+            assert np.array_equal(sizes, reference.multinomial(n, [0.25] * 4, size=axes))
+            assert sizes.sum(axis=1).tolist() == [n] * axes
             for axis_noise in noise:
                 assert np.array_equal(axis_noise,
                                       reference.normal(0.0, math.sqrt(sigma2), size=n))
-
-    def test_byte_counts_match_a_per_byte_decode(self):
-        assert montecarlo._BYTE_COUNTS.shape == (256, 4)
-        for byte, counts in enumerate(montecarlo._BYTE_COUNTS.tolist()):
-            fields = np.unpackbits(np.array([byte], np.uint8)).reshape(4, 2)
-            assert sum(counts) == 4
-            assert counts == np.bincount(2 * fields[:, 0] + fields[:, 1], minlength=4).tolist()
 
 
 def _reaches_level_first(a, c, tau):
