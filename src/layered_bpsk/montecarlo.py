@@ -8,10 +8,10 @@ count.  The ``workers`` field merely parallelizes chunk execution.
 
 Every chunk draws through :func:`_draw`: the class sizes of all its axes in
 one multinomial draw, how many of the chunk's equiprobable symbols hold each
-index 2*x + z, and then each axis's noise through
-:func:`layered_bpsk.channel.noise_real`, real axis first.  The noise goes to
-the symbols in class order: index 0 first, then 1, 2 and 3.  That order
-fixes the random stream, and with it every CSV byte ``ber`` prints.
+index 2*x + z, and then every axis's noise in one
+:func:`layered_bpsk.channel.noise_real` call, real axis first.  The noise
+goes to the symbols in class order: index 0 first, then 1, 2 and 3.  That
+order fixes the random stream, and with it every CSV byte ``ber`` prints.
 
 Two passes run on those draws, each with one estimator.  The BER kernel
 simulates one or two axes at a list of grid points and only counts errors.
@@ -19,12 +19,13 @@ Its draws are made once per chunk and shared by all grid points (common
 random numbers), and it counts by thresholds, not symbol by symbol: a chunk
 sorts each class's contiguous slice of the noise once, in place, and a
 binary search finds, for every grid point, how much of a class's noise lifts
-its amplitude past each level the receiver compares with.
-:func:`layered_bpsk.modem.decide` then decides once per region between
-those levels.  Point k of :func:`sweep_1d` therefore reports exactly what
-:func:`simulate_1d` reports at its weights, and ``ber`` runs its whole grid
-in one sweep.  :func:`empirical_entropy` alone estimates the received-signal
-entropy, on the draws of one axis.
+its amplitude past each level the receiver compares with.  The decisions
+in a region between those levels do not depend on beta, so one table from
+:func:`layered_bpsk.modem.decide` serves every grid point.  Point k of
+:func:`sweep_1d` therefore reports exactly what :func:`simulate_1d` reports
+at its weights, and ``ber`` runs its whole grid in one sweep.
+:func:`empirical_entropy` alone estimates the received-signal entropy, on
+the draws of one axis.
 """
 
 from __future__ import annotations
@@ -165,11 +166,11 @@ def _draw(stream: NoiseStream, size: int, axes: int):
     order, its first m0 samples to the symbols of index 0, the next m1 to
     those of index 1, and so on.  The noise is i.i.d. and drawn apart from
     the class sizes, so that pairing leaves the channel law unchanged.
-    Returns an array of each axis's four class sizes, one row per axis, and
-    a list of each axis's noise.
+    Returns each axis's four class sizes and an (axes, size) array of
+    noise, whose rows are what consecutive per-axis draws would give.
     """
     sizes = stream.generator.multinomial(size, [0.25] * 4, size=axes)
-    return sizes, [noise_real(size, stream) for _ in range(axes)]
+    return sizes, noise_real((axes, size), stream)
 
 
 def _threshold(a: float, c: float) -> float:
@@ -204,41 +205,35 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[
     the receiver only compares y with -beta, 0 and beta.
     ``_threshold(a, c)`` is the least noise with y >= c, so the class's
     noise below its three thresholds splits into four regions, each of one
-    set of decisions.  A chunk sorts in place each
-    class's slice of the noise, as :func:`_draw` pairs them, and returns its
-    count below every threshold of every point, and below +inf, which is the
-    class's size, in an array of shape (axes, 4 classes, 4 * points).  After
-    the chunks are added, :func:`layered_bpsk.modem.decide` runs once per
-    region on its lowest received sample (-inf, -beta, 0 or beta), and the
-    region's count adds to the errors its decisions make against the class's
-    bits.  In genie-aided mode the second stage subtracts the class's true z
-    instead of the decision, isolating error propagation.
+    set of decisions.  A chunk sorts in place each class's slice of the
+    noise, as :func:`_draw` pairs them, and counts it below every threshold
+    of every point, and below +inf, the class's size, in an array laid out
+    like the thresholds.  A region's decisions do not depend on beta, so
+    :func:`layered_bpsk.modem.decide` runs once, at beta = 1, on each
+    region's lowest sample (-inf, -1, 0 or 1), and its table serves every
+    point: a region's count adds to the errors its decisions make against
+    the class's bits.  In genie-aided mode the second stage subtracts the
+    class's true z instead of the decision, isolating error propagation.
     """
     if not points:
         return []
-    axes = len(points[0])
     # tau[p, axis, k]: class k's thresholds at -beta, 0 and beta, then +inf.
     tau = np.array([[[[_threshold(a, c) for c in (-w.beta, 0.0, w.beta)] + [math.inf]
                       for a in amplitude_table(w).tolist()]
                      for w in point] for point in points])
-    searched = tau.transpose(1, 2, 0, 3).reshape(axes, 4, -1)
 
     def chunk(stream: NoiseStream, size: int) -> np.ndarray:
-        sizes, noise = _draw(stream, size, axes)
-        rows = []
-        for axis_sizes, axis_noise, axis_searched in zip(sizes, noise, searched):
-            classes = np.split(axis_noise, np.cumsum(axis_sizes[:-1]))
-            for class_noise in classes:
-                class_noise.sort()
-            rows.append([np.searchsorted(class_noise, thresholds)
-                         for class_noise, thresholds in zip(classes, axis_searched)])
-        return np.array(rows)
+        sizes, noise = _draw(stream, size, len(points[0]))
+        below = np.empty(tau.shape, dtype=int)
+        classes = np.split(noise.reshape(-1), np.cumsum(sizes)[:-1])
+        for (axis, k), class_noise in zip(np.ndindex(sizes.shape), classes):
+            class_noise.sort()
+            below[:, axis, k] = np.searchsorted(class_noise, tau[:, axis, k])
+        return below
 
-    below = _run_chunks(cfg, chunk).reshape(axes, 4, len(points), 4).transpose(2, 0, 1, 3)
-    counts = np.diff(below, axis=-1, prepend=0)
-    # Each region's lowest received sample, the last one beta itself.
-    y = np.array([[[[-math.inf, -w.beta, 0.0, w.beta]] for w in point] for point in points])
-    z_hat, x_hat = decide(y, y[..., 3:], _Z_BITS[:, None] if cfg.mode == GENIE_AIDED else None)
+    counts = np.diff(_run_chunks(cfg, chunk), axis=-1, prepend=0)
+    z_hat, x_hat = decide(np.array([-math.inf, -1.0, 0.0, 1.0]), 1.0,
+                          _Z_BITS[:, None] if cfg.mode == GENIE_AIDED else None)
     errors = np.stack([(counts * (z_hat != _Z_BITS[:, None])).sum(axis=(-2, -1)),
                        (counts * (x_hat != _X_BITS[:, None])).sum(axis=(-2, -1))], axis=-1)
     return [SimReport(n_symbols=cfg.n_symbols, seed=cfg.seed, mode=cfg.mode,

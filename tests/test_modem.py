@@ -1,9 +1,10 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from layered_bpsk.core import Bit, WeightPair
@@ -135,6 +136,20 @@ class TestDecide:
         for yk, z, x, _, _ in self.TIES:
             result = demod_1d(yk, W21)
             assert (result.z_hat, result.x_hat) == (z, x)
+
+    # The lowest sample of each region between -beta, 0 and beta, at beta = 1.
+    REGIONS = np.array([-math.inf, -1.0, 0.0, 1.0])
+
+    @given(beta=st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True))
+    @example(beta=5e-324)
+    @example(beta=2e-300)
+    @example(beta=2e150)
+    @pytest.mark.parametrize("feedback", [None, _INDEX_BITS[:, 1:]], ids=["decided", "true-z"])
+    def test_region_decisions_do_not_depend_on_beta(self, feedback, beta):
+        # The simulator decides once at beta = 1 for every grid point.
+        scaled = decide(self.REGIONS * beta, beta, feedback)
+        for got, expected in zip(scaled, decide(self.REGIONS, 1.0, feedback)):
+            assert np.array_equal(got, expected)
 
 
 class TestModem2D:

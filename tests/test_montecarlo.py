@@ -112,6 +112,7 @@ class TestDraw:
             sizes, noise = _draw(NoiseStream(5, 3, NoiseSpec(sigma2)), n, axes)
             reference = np.random.default_rng((5, 3))
             assert len(sizes) == len(noise) == axes
+            assert noise.shape == (axes, n)
             assert np.array_equal(sizes, reference.multinomial(n, [0.25] * 4, size=axes))
             assert sizes.sum(axis=1).tolist() == [n] * axes
             for axis_noise in noise:
