@@ -114,9 +114,3 @@ def demod_2d(y_prime: complex, w: WeightPair, wp: WeightPair) -> Demod2DResult:
     re, im = demod_1d(y_prime.real, w), demod_1d(y_prime.imag, wp)
     return Demod2DResult(z_hat=re.z_hat, z_hat_prime=im.z_hat,
                          x_hat=re.x_hat, x_hat_prime=im.x_hat)
-
-
-def demod_bpsk(y: float) -> Bit:
-    """Sign decision of plain BPSK, the receiver's first stage."""
-    z_hat, _ = decide(_sample(y), 0.0)  # beta plays no part in z_hat
-    return _bit(z_hat)

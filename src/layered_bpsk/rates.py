@@ -129,10 +129,13 @@ def _steps(c):
     with itself (g = 0) allows ``MAX_STEP``.
     """
     g = 0.5 * np.abs(c[:, :, None] - c[:, None, :])
-    spread = MAX_STEP * np.divide(math.pi, 4.0 * g, out=np.ones_like(g), where=4.0 * g > math.pi)
+    # Each divisor is raised to the value at which its quotient reaches the
+    # cap exactly (pi / pi = 1, and pi**2 / (pi**2 / MAX_STEP) rounds to
+    # MAX_STEP), so a pair below the threshold takes the cap with no masked
+    # divide and no division by zero.
+    spread = MAX_STEP * (math.pi / np.maximum(4.0 * g, math.pi))
     room = g * (_POLE_EXPONENT - 0.5 * g * g)
-    pole = np.divide(math.pi**2, room, out=np.full_like(room, MAX_STEP),
-                     where=room > math.pi**2 / MAX_STEP)
+    pole = math.pi**2 / np.maximum(room, math.pi**2 / MAX_STEP)
     return np.maximum(spread, pole).min(axis=(1, 2))
 
 
@@ -164,27 +167,26 @@ def _mixture_nats(c):
     form pairs c_j with -c_j the same way.
     """
     n = c.shape[1]
-    half = np.arange(n // 2, n)  # sorted: c[:, half] are the points >= 0
-    w = np.full(half.size, 2.0 / n)
-    if n % 2:
-        w[0] = 1.0 / n
+    m = n // 2  # sorted: c[:, m:] are the points >= 0
+    w = np.array([1.0 / n] * (n % 2) + [2.0 / n] * m)
     steps = _steps(c)
     nats = np.empty(c.shape[0])
     near = c[:, -1] < 2.0
     if near.any():
-        h = c[near][:, half].T  # (point, row)
+        cn = c[near]
+        h = cn[:, m:].T  # (point, row)
 
         def log_cosh_form(t, h):
             ci, cj = h[:, None, :], h[None, :, :]
             u = _log_cosh(cj * (ci + t)) - 0.5 * cj * cj
             return (w[:, None] * _log_mean_exp(u, w)).sum(axis=0)
 
-        nats[near] = 0.5 * np.mean(c[near] ** 2, axis=1) - quadrature.expect(
-            log_cosh_form, steps[near], h, terms=half.size**2)
+        nats[near] = 0.5 * ((cn * cn).sum(axis=1) / n) - quadrature.expect(
+            log_cosh_form, steps[near], h, terms=h.shape[0]**2)
     if not near.all():
-        others = np.array([[j for j in range(n) if j != i] for i in half])
-        far = c[~near]
-        d = np.moveaxis(far[:, half, None] - far[:, others], 0, -1)  # (i, j != i, row)
+        far = c[~near].T  # (point, row)
+        others = [[j for j in range(n) if j != i] for i in range(m, n)]
+        d = far[m:, None, :] - far[others]  # (i, j != i, row)
 
         def separation_form(t, d):
             terms = np.exp(-0.5 * d * (d + 2.0 * t)).sum(axis=1)
@@ -214,10 +216,17 @@ def _mi_bits(points, sigma2: float) -> np.ndarray:
     bits = np.empty(points.shape[0])
     rows = np.arange(bits.size)  # the rows whose rest is still open
     label, share = 0.0, 1.0  # bits of the pairs told apart so far, and the rest's weight
+
+    def evaluate(open_rows, rest):
+        bits[open_rows] = label + share * (_mixture_nats(rest / sigma) / LN2)
+
     for n in range(points.shape[1], 1, -2):
         told = 0.5 * points[:, -1] - 0.5 * points[:, -2] >= SATURATION_SIGMAS * sigma
+        if not told.any():  # no pair is told apart: every open row is evaluated whole
+            evaluate(rows, points)
+            return bits
         if not told.all():
-            bits[rows[~told]] = label + share * (_mixture_nats(points[~told] / sigma) / LN2)
+            evaluate(rows[~told], points[~told])
         label += share * (math.log2(n) - (n - 2) / n * math.log2(max(n - 2, 1)))
         share *= (n - 2) / n
         rows, points = rows[told], points[told, 1:-1]
@@ -263,7 +272,7 @@ def bpsk_rate_grid(amplitudes, sigma2: float) -> np.ndarray:
     bad = ~(np.isfinite(a) & (a >= 0.0))
     if bad.any():
         raise ValueError(f"amplitude must be a finite number >= 0, got {float(a[bad][0])!r}")
-    return _mi_bits(np.stack([-a, a], axis=1), sigma2)
+    return _mi_bits(np.multiply.outer(a, (-1.0, 1.0)), sigma2)
 
 
 def bpsk_rate(amplitude: float, sigma2: float) -> float:
@@ -346,11 +355,6 @@ def shannon_capacity(rho: float) -> float:
     return math.log1p(rho) / LN2
 
 
-def taylor_capacity(rho: float) -> float:
-    """First-order capacity near zero SNR: rho * log2(e)."""
-    return rho * LOG2_E
-
-
 def rho_bpsk(w: WeightPair, sigma2: float) -> float:
     """Average-power SNR of the layered constellation, power / sigma2."""
     return w.average_power() / _check_sigma2(sigma2)
@@ -359,12 +363,6 @@ def rho_bpsk(w: WeightPair, sigma2: float) -> float:
 def rho_x(w: WeightPair, sigma2: float) -> float:
     """Equivalent SNR of the second stream from its residual amplitudes."""
     return mean_power(w.residual_pair) / _check_sigma2(sigma2)
-
-
-def taylor_rate_1d(w: WeightPair, sigma2: float) -> float:
-    """First-order sum rate near zero SNR: (rho_z + rho_x) * log2(e), where
-    the first stream's SNR rho_z is rho_bpsk."""
-    return (rho_bpsk(w, sigma2) + rho_x(w, sigma2)) * LOG2_E
 
 
 def rate_diff(w: WeightPair, sigma2: float) -> float:

@@ -7,9 +7,15 @@ so in CHANGES.md.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import layered_bpsk
 from layered_bpsk.cli import main
 
 BER_GRID = ("ber", "--min-db", "0", "--max-db", "3", "--step-db", "1",
@@ -40,6 +46,53 @@ def test_cli_output_digest(case, tmp_path):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# numpy picks its SIMD kernels from the host CPU when it is imported, and
+# NPY_DISABLE_CPU_FEATURES lowers that choice for one process.  Each level
+# below re-runs the digests above in a child process at the x86-64 dispatch
+# level a CI runner without those features would get.
+DISPATCH_LEVELS = {
+    "X86_V3": "X86_V4 AVX512_ICL AVX512_SPR",
+    "X86_V2": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
+}
+
+_CHILD = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from layered_bpsk.cli import main
+names, argvs = json.loads(sys.argv[1])
+print(json.dumps([name for name in names if __cpu_features__.get(name)]))
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "out.csv"
+    for argv in argvs:
+        if main([*argv, "--out", str(out)]) != 0:
+            sys.exit(1)
+        print(hashlib.sha256(out.read_bytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("level", sorted(DISPATCH_LEVELS))
+def test_cli_output_digests_at_lower_dispatch_level(level):
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_features__
+
+    names = DISPATCH_LEVELS[level].split()
+    if any(name in __cpu_baseline__ for name in names):
+        pytest.skip(f"this numpy's baseline is above {level}")
+    if not any(__cpu_features__.get(name) for name in names):
+        pytest.skip(f"this host runs at {level} or below already")
+    src = str(Path(layered_bpsk.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": DISPATCH_LEVELS[level],
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cases = sorted(GOLDEN)
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps([names, [GOLDEN[c][0] for c in cases]])],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    still_on, *digests = child.stdout.splitlines()
+    assert json.loads(still_on) == []
+    assert digests == [GOLDEN[c][1] for c in cases]
 
 
 # Library simulator pin: every error count and every entropy estimate of these

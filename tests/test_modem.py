@@ -14,7 +14,6 @@ from layered_bpsk.modem import (
     decide,
     demod_1d,
     demod_2d,
-    demod_bpsk,
     encode_1d,
     encode_2d,
     symbol_index,
@@ -183,13 +182,3 @@ class TestModem2D:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             demod_2d(bad, W21, W21)
-
-
-class TestBaselines:
-    def test_bpsk_mapping(self):
-        assert demod_bpsk(-0.3) is Bit.MINUS
-        assert demod_bpsk(0.3) is Bit.PLUS
-
-    def test_bpsk_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            demod_bpsk(math.nan)

@@ -119,6 +119,30 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="non-finite"):
             integrate(f)
 
+    def test_non_finite_node_of_one_grid_row_rejected(self):
+        # Finiteness is checked on each row's sum; a NaN at one node of the
+        # middle row must still reach it.
+        first = int(node_counts(0.2))
+
+        def f(t):
+            fx = np.ones_like(t)
+            fx[first + 5] = np.nan
+            return fx
+
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(f, np.array([0.2, 0.1, 0.2]))
+
+    def test_opposite_infinities_in_one_row_rejected(self):
+        # +inf and -inf in one row sum to NaN: a ValueError, not a
+        # RuntimeWarning from the row sum.
+        f = lambda t: np.where(t > 0.5, np.inf, np.where(t < -0.5, -np.inf, 1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(f)
+
+    def test_empty_grid(self):
+        out = integrate(np.cos, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
     def test_non_elementwise_integrand_rejected(self):
         with pytest.raises(ValueError, match="elementwise"):
             integrate(lambda t: 1.0)

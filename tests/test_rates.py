@@ -40,8 +40,6 @@ from layered_bpsk.rates import (
     rho_x,
     shannon_capacity,
     snr_to_amplitude,
-    taylor_capacity,
-    taylor_rate_1d,
     to_db,
 )
 
@@ -385,14 +383,6 @@ class TestClosedForms:
         assert shannon_capacity(rho) == pytest.approx((rho - rho**2 / 2.0) * LOG2_E,
                                                       rel=1e-15, abs=0.0)
 
-    def test_taylor_capacity(self):
-        assert taylor_capacity(0.01) == pytest.approx(0.0144270, abs=5e-8)
-        assert taylor_capacity(0.0) == 0.0
-
-    def test_taylor_upper_bounds_capacity(self):
-        for rho in (1e-4, 0.01, 0.5, 3.0, 100.0):
-            assert taylor_capacity(rho) >= shannon_capacity(rho)
-
     def test_rho_arithmetic(self):
         assert rho_bpsk(W21, 1.0) == 2.125
         assert rho_x(W21, 1.0) == 0.625
@@ -401,12 +391,10 @@ class TestClosedForms:
     def test_rho_x_below_rho_bpsk(self, w, sigma2):
         assert rho_x(w, sigma2) < rho_bpsk(w, sigma2)
 
-    def test_taylor_rate_reference(self):
-        assert taylor_rate_1d(W21, 1.0) == pytest.approx(2.75 * LOG2_E, rel=1e-14)
-
     def test_rate_diff_identity(self):
+        # The first-order sum rate (rho_bpsk + rho_x) * log2(e), less BPSK's.
         lhs = rate_diff(W21, 1.0)
-        rhs = taylor_rate_1d(W21, 1.0) - rho_bpsk(W21, 1.0) * LOG2_E
+        rhs = (rho_bpsk(W21, 1.0) + rho_x(W21, 1.0)) * LOG2_E - rho_bpsk(W21, 1.0) * LOG2_E
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @given(w=weight_pairs(), sigma2=st.floats(min_value=1e-3, max_value=1e3))
@@ -685,24 +673,28 @@ class TestMpmathPins:
 
 
 def test_default_rate_sweep_node_budget(monkeypatch, tmp_path):
-    # Nodes of every rate integral, counted with quadrature.node_counts.
-    # The default capacity-gap evaluates the default rate-sweep's BPSK rates
-    # (212 071 nodes, the baselines once for all three ratios) and no exact
-    # MI; the rate-sweep's exact MI takes 86 526 more.  A step rule that
-    # widens again, or baselines evaluated once per ratio again, fail here.
+    # Nodes of every rate integral, counted where quadrature.integrate hands
+    # them to the integrand, so a layout change is charged for the nodes it
+    # evaluates.  The default capacity-gap evaluates the default rate-sweep's
+    # BPSK rates (212 071 nodes, the baselines once for all three ratios) and
+    # no exact MI; the rate-sweep's exact MI takes 86 526 more.  A step rule
+    # that widens again, or baselines evaluated once per ratio again, fail
+    # here.
     nodes = []
-    expect = quadrature.expect
+    integrate = quadrature.integrate
 
-    def spy(integrand, steps, *params, **kwargs):
-        nodes.append(int(node_counts(steps).sum()))
-        return expect(integrand, steps, *params, **kwargs)
+    def spy(f, *args, **kwargs):
+        def counted(t):
+            nodes.append(t.size)
+            return f(t)
+        return integrate(counted, *args, **kwargs)
 
     def count(command):
         nodes.clear()
         assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
         return sum(nodes)
 
-    monkeypatch.setattr(quadrature, "expect", spy)
+    monkeypatch.setattr(quadrature, "integrate", spy)
     bpsk = count("capacity-gap")
     assert bpsk <= 215_000
     assert count("rate-sweep") - bpsk <= 90_000
