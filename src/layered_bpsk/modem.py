@@ -14,8 +14,10 @@ The encoder is :func:`amplitude_table` indexed by :func:`symbol_index`, and
 for +1.  The simulator draws how many of a chunk's symbols hold each index,
 sorts the slice of noise that goes to each index, and calls :func:`decide`
 once: the decisions in each region between -beta, 0 and beta do not depend
-on beta, so one table serves every grid point.  The scalar functions on
-:class:`~layered_bpsk.core.Bit` values are thin calls of the same functions.
+on beta, so one table serves every grid point.  The BER predictions sum the
+same table over the Gaussian mass each index puts in each region.  The
+scalar functions on :class:`~layered_bpsk.core.Bit` values are thin calls
+of the same functions.
 
 Sign decisions at exactly zero resolve to +1: the event has measure zero
 under AWGN and a deterministic rule keeps every path reproducible.

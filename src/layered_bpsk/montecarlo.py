@@ -24,6 +24,9 @@ in a region between those levels do not depend on beta, so one table from
 :func:`layered_bpsk.modem.decide` serves every grid point.  Point k of
 :func:`sweep_1d` therefore reports exactly what :func:`simulate_1d` reports
 at its weights, and ``ber`` runs its whole grid in one sweep.
+:func:`ber_predictions_1d` takes its errors from that same table, summed
+over the Gaussian mass each class puts in each region in place of the
+counts, so the predictions and the counts state the receiver once.
 :func:`empirical_entropy` alone estimates the received-signal entropy, on
 the draws of one axis.
 """
@@ -91,51 +94,77 @@ def qfunc(t: float) -> float:
     return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
+def _tail(distance: float, sigma: float) -> float:
+    """Q(distance / sigma) for a distance >= 0; 0 when the ratio is +inf."""
+    t = distance / sigma
+    return 0.0 if t == math.inf else qfunc(t)
+
+
 def _normal_mass(lo: float, hi: float, mean: float, sigma: float) -> float:
     """P(lo <= Y < hi) for Y ~ N(mean, sigma**2); either bound may be infinite.
 
     Taken from the tail on the interval's side of the mean, so a small mass
-    keeps its relative precision.
+    keeps its relative precision; a tail that starts an infinite number of
+    sigmas away, at an infinite bound or by overflow, holds no mass.
     """
-    def upper(t: float) -> float:  # P(Y >= t)
-        return 0.0 if t == math.inf else qfunc((t - mean) / sigma)
-
-    def lower(t: float) -> float:  # P(Y < t)
-        return 0.0 if t == -math.inf else qfunc((mean - t) / sigma)
-
     if lo >= mean:
-        return upper(lo) - upper(hi)
+        return _tail(lo - mean, sigma) - _tail(hi - mean, sigma)
     if hi <= mean:
-        return lower(hi) - lower(lo)
-    return 1.0 - lower(lo) - upper(hi)
+        return _tail(mean - hi, sigma) - _tail(mean - lo, sigma)
+    return 1.0 - _tail(mean - lo, sigma) - _tail(hi - mean, sigma)
+
+
+# The receiver compares a sample with -beta, 0 and beta: its region edges at
+# beta = 1, with -inf and +inf outside.
+_EDGES = (-1.0, 0.0, 1.0)
+_X_BITS, _Z_BITS = _INDEX_BITS.T
+
+
+def _wrong(mode: str) -> np.ndarray:
+    """wrong[s, k, r]: whether stage s (z, then x) errs for class k in region r.
+
+    Class k holds the symbols of index k and region r the samples in
+    [edge r, edge r + 1) of (-inf, -beta, 0, beta, inf).  A region's
+    decisions do not depend on beta, so :func:`layered_bpsk.modem.decide`
+    runs at beta = 1 on each region's lowest sample.  In genie-aided mode
+    the second stage subtracts the true z, isolating error propagation.
+    """
+    z_hat, x_hat = decide(np.array([-math.inf, *_EDGES]), 1.0,
+                          _Z_BITS[:, None] if mode == GENIE_AIDED else None)
+    return np.array([z_hat != _Z_BITS[:, None], x_hat != _X_BITS[:, None]])
+
+
+_WRONG = {mode: _wrong(mode) for mode in _MODES}
+
+
+def _errors(table: np.ndarray, mode: str) -> np.ndarray:
+    """Errors summed over a (..., 4, 4) table of (class, region) values.
+
+    Each value adds to the errors its region's decisions make against its
+    class's bits in ``mode``; the result's last axis is (z errors, x errors).
+    """
+    return (table[..., None, :, :] * _WRONG[mode]).sum(axis=(-2, -1))
 
 
 def ber_predictions_1d(w: WeightPair, spec: NoiseSpec, mode: str) -> tuple[float, float]:
     """Q-function BER predictions (ber_z, ber_x) of the receiver in ``mode``.
 
-    The sign stage sees ``w.sign_pair`` in both modes.  With the true z
-    removed (genie-aided) the second stage sees ``w.residual_pair``.  With
-    the decided z fed back, x_hat = +1 exactly when y lies in [-beta, 0) or
-    [beta, inf), so ber_x is the mean over ``w.points`` of the Gaussian mass
-    of the region that decides against the sent x.
+    ``mass[k, r]`` is the Gaussian mass that class k, at amplitude
+    ``amplitude_table(w)[k]``, puts in region r of the receiver.  Each
+    prediction is the error sum :func:`_simulate` takes over its counts,
+    taken over ``mass`` and divided by 4: the expected errors per symbol.
+    In genie-aided mode the sums equal 0.5*Q(a/sigma) + 0.5*Q(b/sigma) over
+    ``w.sign_pair`` for z and over ``w.residual_pair`` for x.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     sigma = math.sqrt(spec.sigma2)
-
-    def pair_ber(pair: tuple[float, float]) -> float:
-        a, b = pair
-        return 0.5 * qfunc(a / sigma) + 0.5 * qfunc(b / sigma)
-
-    if mode == GENIE_AIDED:
-        return pair_ber(w.sign_pair), pair_ber(w.residual_pair)
-    b = w.beta
-    decides_plus = ((-b, 0.0), (b, math.inf))
-    decides_minus = ((-math.inf, -b), (0.0, b))
-    ber_x = sum(_normal_mass(lo, hi, amplitude, sigma)
-                for x, _, amplitude in w.points
-                for lo, hi in (decides_minus if x == 1 else decides_plus)) / 4.0
-    return pair_ber(w.sign_pair), ber_x
+    edges = [-math.inf, *(w.beta * e for e in _EDGES), math.inf]
+    regions = list(zip(edges, edges[1:]))
+    mass = np.array([[_normal_mass(lo, hi, a, sigma) for lo, hi in regions]
+                     for a in amplitude_table(w).tolist()])
+    ber_z, ber_x = _errors(mass, mode).tolist()
+    return ber_z / 4.0, ber_x / 4.0
 
 
 def _run_chunks(cfg: SimConfig, chunk_fn) -> np.ndarray:
@@ -193,9 +222,6 @@ def _threshold(a: float, c: float) -> float:
     return n
 
 
-_X_BITS, _Z_BITS = _INDEX_BITS.T
-
-
 def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[SimReport]:
     """The layered scheme at each of ``points``, one WeightPair per axis.
 
@@ -204,21 +230,17 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[
     a = ``amplitude_table(w)[k]``, receives y = fl(a + n) for noise n, and
     the receiver only compares y with -beta, 0 and beta.
     ``_threshold(a, c)`` is the least noise with y >= c, so the class's
-    noise below its three thresholds splits into four regions, each of one
-    set of decisions.  A chunk sorts in place each class's slice of the
+    noise below its three thresholds splits into the four regions of
+    :func:`_wrong`.  A chunk sorts in place each class's slice of the
     noise, as :func:`_draw` pairs them, and counts it below every threshold
     of every point, and below +inf, the class's size, in an array laid out
-    like the thresholds.  A region's decisions do not depend on beta, so
-    :func:`layered_bpsk.modem.decide` runs once, at beta = 1, on each
-    region's lowest sample (-inf, -1, 0 or 1), and its table serves every
-    point: a region's count adds to the errors its decisions make against
-    the class's bits.  In genie-aided mode the second stage subtracts the
-    class's true z instead of the decision, isolating error propagation.
+    like the thresholds.  Their differences are each point's (class, region)
+    counts, and one :func:`_errors` call sums every point's errors.
     """
     if not points:
         return []
     # tau[p, axis, k]: class k's thresholds at -beta, 0 and beta, then +inf.
-    tau = np.array([[[[_threshold(a, c) for c in (-w.beta, 0.0, w.beta)] + [math.inf]
+    tau = np.array([[[[_threshold(a, w.beta * e) for e in _EDGES] + [math.inf]
                       for a in amplitude_table(w).tolist()]
                      for w in point] for point in points])
 
@@ -232,10 +254,7 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[
         return below
 
     counts = np.diff(_run_chunks(cfg, chunk), axis=-1, prepend=0)
-    z_hat, x_hat = decide(np.array([-math.inf, -1.0, 0.0, 1.0]), 1.0,
-                          _Z_BITS[:, None] if cfg.mode == GENIE_AIDED else None)
-    errors = np.stack([(counts * (z_hat != _Z_BITS[:, None])).sum(axis=(-2, -1)),
-                       (counts * (x_hat != _X_BITS[:, None])).sum(axis=(-2, -1))], axis=-1)
+    errors = _errors(counts, cfg.mode)
     return [SimReport(n_symbols=cfg.n_symbols, seed=cfg.seed, mode=cfg.mode,
                       errors=tuple((z, x) for z, x in row))
             for row in errors.tolist()]

@@ -74,6 +74,26 @@ def trapezoid_ber_x_decision_feedback(w, sigma2, nodes=200_001):
     return total / 4.0
 
 
+def q_function_ber_genie(w, sigma2):
+    """Closed-form (ber_z, ber_x) of the genie-aided receiver.
+
+    Each stage sees two equiprobable antipodal amplitudes: the sign stage
+    ``w.sign_pair`` and, with the true z removed, the second stage
+    ``w.residual_pair``, and errs with 0.5*Q(a/sigma) + 0.5*Q(b/sigma) over
+    its pair (a, b).
+    """
+    sigma = math.sqrt(sigma2)
+
+    def q(t):
+        return 0.5 * math.erfc(t / math.sqrt(2.0))
+
+    def pair_ber(pair):
+        a, b = pair
+        return 0.5 * q(a / sigma) + 0.5 * q(b / sigma)
+
+    return pair_ber(w.sign_pair), pair_ber(w.residual_pair)
+
+
 def binary_entropy(p):
     if p <= 0.0 or p >= 1.0:
         return 0.0

@@ -50,8 +50,9 @@ def test_cli_output_digest(case, tmp_path):
 
 # numpy picks its SIMD kernels from the host CPU when it is imported, and
 # NPY_DISABLE_CPU_FEATURES lowers that choice for one process.  Each level
-# below re-runs the digests above in a child process at the x86-64 dispatch
-# level a CI runner without those features would get.
+# below re-runs the digests above, and the library simulator pin below, in a
+# child process at the x86-64 dispatch level a CI runner without those
+# features would get.
 DISPATCH_LEVELS = {
     "X86_V3": "X86_V4 AVX512_ICL AVX512_SPR",
     "X86_V2": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
@@ -70,6 +71,8 @@ with tempfile.TemporaryDirectory() as tmp:
         if main([*argv, "--out", str(out)]) != 0:
             sys.exit(1)
         print(hashlib.sha256(out.read_bytes()).hexdigest())
+from test_golden import _sim_digest
+print(_sim_digest())
 """
 
 
@@ -83,34 +86,36 @@ def test_cli_output_digests_at_lower_dispatch_level(level):
     if not any(__cpu_features__.get(name) for name in names):
         pytest.skip(f"this host runs at {level} or below already")
     src = str(Path(layered_bpsk.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": DISPATCH_LEVELS[level],
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
     cases = sorted(GOLDEN)
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps([names, [GOLDEN[c][0] for c in cases]])],
         env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    still_on, *digests = child.stdout.splitlines()
+    still_on, *digests, sim_digest = child.stdout.splitlines()
     assert json.loads(still_on) == []
     assert digests == [GOLDEN[c][1] for c in cases]
+    assert sim_digest == SIM_DIGEST
 
 
-# Library simulator pin: every error count and every entropy estimate of these
-# calls, hashed.  Three chunks of 2**17 symbols each (the last one partial),
-# so the 3-worker runs really run chunks in parallel.
+# Library simulator pin: every error count of these calls exactly, and every
+# entropy estimate at the CLI's 12 significant digits, hashed.  numpy's SIMD
+# exp and log round differently at each dispatch level, so an estimate's
+# last bits move between levels while its 12 digits and the counts do not.
+# Three chunks of 2**17 symbols each (the last one partial), so the 3-worker
+# runs really run chunks in parallel.
 SIM_SYMBOLS = 270_000
 SIM_AMPLITUDE = 1.25
 SIM_POINTS = ((2.0, 2.0, 1.0), (4.0, 1.0, 0.5))  # (ratio, power, sigma2)
-SIM_DIGEST = "1bb944357e6dc14cc936adcc514caba412b0210fd524f6cefbe128383b2aaeb6"
+SIM_DIGEST = "6ebcd54e3df21c3b084fbbf899fa7c13dfd1ea0bf2f9f1f8ea32582fd0a8c12b"
 
 
 def _sim_lines():
     from layered_bpsk.core import NoiseSpec, weights_from_ratio
     from layered_bpsk.montecarlo import (DECISION_FEEDBACK, GENIE_AIDED, SimConfig,
                                          empirical_entropy, simulate_1d, simulate_2d)
-
-    def floats(*values):
-        return " ".join(float.hex(v) for v in values)
 
     def counts(report):
         return " ".join(f"{z},{x}" for z, x in report.errors)
@@ -126,9 +131,13 @@ def _sim_lines():
                 yield f"2d {counts(simulate_2d(cfg))}"
                 for amplitude in (None, SIM_AMPLITUDE):
                     est = empirical_entropy(cfg, amplitude)
-                    yield f"entropy {amplitude} {floats(est.bits, est.std_error)}"
+                    yield f"entropy {amplitude} {est.bits:.12g} {est.std_error:.12g}"
+
+
+def _sim_digest():
+    text = "\n".join(_sim_lines()) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_library_simulator_digest():
-    text = "\n".join(_sim_lines()) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == SIM_DIGEST
+    assert _sim_digest() == SIM_DIGEST

@@ -38,7 +38,12 @@ from layered_bpsk.rates import (
     signal_power,
 )
 
-from oracles import binary_entropy, per_symbol_errors, trapezoid_ber_x_decision_feedback
+from oracles import (
+    binary_entropy,
+    per_symbol_errors,
+    q_function_ber_genie,
+    trapezoid_ber_x_decision_feedback,
+)
 
 W21 = WeightPair(2.0, 1.0)
 SPEC1 = NoiseSpec(1.0)
@@ -148,6 +153,55 @@ class TestThreshold:
     def test_float_range_ends(self, a, c, tau):
         assert _threshold(a, c) == tau
         assert _reaches_level_first(a, c, tau)
+
+
+class TestPredictions:
+    @given(ratio=st.floats(1.0, 1e6, exclude_min=True), snr_db=st.floats(-40.0, 40.0))
+    @example(ratio=1.0 + 2.0**-40, snr_db=0.0)  # alpha - beta far below beta
+    @example(ratio=1e6, snr_db=40.0)
+    def test_genie_aided_equals_closed_form(self, ratio, snr_db):
+        w = weights_from_ratio(ratio, signal_power(10.0 ** (snr_db / 10.0), 1.0))
+        genie = ber_predictions_1d(w, SPEC1, GENIE_AIDED)
+        assert genie == pytest.approx(q_function_ber_genie(w, 1.0), rel=1e-12, abs=1e-300)
+        # z_hat does not depend on the feedback, so ber_z is one masked sum.
+        assert ber_predictions_1d(w, SPEC1, DECISION_FEEDBACK)[0] == genie[0]
+
+    @pytest.mark.parametrize("mode", [DECISION_FEEDBACK, GENIE_AIDED])
+    @pytest.mark.parametrize("w, sigma2", [(WeightPair(1e200, 1.0), 1e-300),
+                                           (WeightPair(1e300, 1e299), 1e-10)])
+    def test_standardized_distance_overflow_gives_zero(self, w, sigma2, mode):
+        # Every amplitude lies at least 1e303 noise deviations from every
+        # region edge, past the float range for the first point, so no
+        # region that errs holds any mass.
+        assert ber_predictions_1d(w, NoiseSpec(sigma2), mode) == (0.0, 0.0)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            ber_predictions_1d(W21, SPEC1, "oracle")
+
+    def test_region_counts_follow_the_mass_table(self, monkeypatch):
+        # Class sizes are Multinomial(n; 1/4 x 4) and the noise is i.i.d., so
+        # a point's 16 (class, region) counts, the table the error sums are
+        # taken over, are Multinomial(n; mass / 4): a Pearson chi-squared
+        # test with 15 degrees of freedom checks their whole joint law.
+        tables, errors = [], montecarlo._errors
+
+        def capture(table, mode):
+            tables.append(table)
+            return errors(table, mode)
+
+        monkeypatch.setattr(montecarlo, "_errors", capture)
+        n = 400_000
+        simulate_1d(_cfg(n_symbols=n, mode=DECISION_FEEDBACK))
+        [table] = tables
+        observed = table.reshape(16)
+        edges = np.array([-np.inf, -W21.beta, 0.0, W21.beta, np.inf])
+        cdf = special.ndtr(edges - amplitude_table(W21)[:, None])  # sigma = 1
+        expected = n * np.diff(cdf, axis=1).reshape(16) / 4.0
+        assert expected.min() > 100.0  # so the chi-squared law holds well
+        assert observed.sum() == n
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert special.chdtrc(15, chi2) > 1e-3
 
 
 class TestSimulate1D:
