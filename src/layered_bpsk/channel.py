@@ -20,18 +20,21 @@ import numpy as np
 
 from .core import NoiseSpec
 
-_MAX_SEED = 2**64
+
+def check_seed(seed) -> int:
+    """The seed rule: an ``int`` in [0, 2**64)."""
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 class NoiseStream:
     """Single-owner AWGN source; one substream per (seed, stream_id)."""
 
     def __init__(self, seed: int, stream_id: int, spec: NoiseSpec):
-        if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self.seed = check_seed(seed)
         if not isinstance(stream_id, int) or stream_id < 0:
             raise ValueError(f"stream_id must be a non-negative integer, got {stream_id!r}")
-        self.seed = seed
         self.stream_id = stream_id
         self.spec = spec
         self.generator = np.random.default_rng((seed, stream_id))

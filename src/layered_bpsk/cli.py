@@ -1,7 +1,9 @@
 """Command-line front end producing deterministic CSV sweeps.
 
 Sweep grids are half-open dB ranges ``[min, max)`` stepped by ``--step-db``;
-``--min-db`` equal to ``--max-db`` yields a header-only file.  Grids always
+``--min-db`` equal to ``--max-db`` yields a header-only file.  A point within
+1e-9 of a step below ``--max-db`` counts as ``--max-db`` and is left out, so
+``appendix --min-db 0 --max-db 1e-10`` prints only the header.  Grids always
 parameterize the received SNR ``rho = power / N0``, which alone fixes every
 row, at unit noise variance per real dimension; with ``--axis ebn0_db`` the
 rows are the same operating points with their Eb/N0 reported as the leading
@@ -29,7 +31,7 @@ import argparse
 import math
 import sys
 
-from .core import MAX_RATIO, NoiseSpec, weights_from_ratio
+from .core import MAX_RATIO, NoiseSpec, is_finite, weights_from_ratio
 from .montecarlo import (
     DECISION_FEEDBACK,
     GENIE_AIDED,
@@ -88,13 +90,14 @@ def _grid_db(args, ratios: tuple[float, ...] = ()) -> list[float]:
     of ``ratios``.
 
     The grid is half-open, [min_db, max_db): equal bounds give an empty grid
-    and therefore a header-only CSV.  It has at most MAX_GRID_POINTS points.
+    and therefore a header-only CSV, and a point within 1e-9 steps of max_db
+    is left out.  It has at most MAX_GRID_POINTS points.
     Within +-MAX_ABS_DB the signal power lies in [2e-300, 2e300], where
     ``weights_from_ratio`` gives valid weights for every ratio in
     (1, MAX_RATIO].
     """
     lo, hi, step = args.min_db, args.max_db, args.step_db
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
+    if not all(is_finite(v) for v in (lo, hi, step)):
         raise ValueError("grid bounds and step must be finite")
     if lo > hi:
         raise ValueError(f"--min-db must not exceed --max-db, got {lo} > {hi}")
@@ -108,7 +111,7 @@ def _grid_db(args, ratios: tuple[float, ...] = ()) -> list[float]:
         raise ValueError(f"the dB grid would exceed {MAX_GRID_POINTS} points; "
                          f"raise --step-db or narrow --min-db/--max-db")
     for ratio in ratios:
-        if not math.isfinite(ratio) or not 1.0 < ratio <= MAX_RATIO:
+        if not (is_finite(ratio) and 1.0 < ratio <= MAX_RATIO):
             raise ValueError(
                 f"--ratio values must be finite and in (1, {MAX_RATIO:g}], got {ratio}")
     return [lo + k * step for k in range(max(0, math.ceil(steps)))]

@@ -6,6 +6,11 @@ Conventions used throughout the package:
   power / noise-variance at the point of use and never stored redundantly.
 * ``NoiseSpec.sigma2`` is the noise variance **per real dimension**; the
   total noise power of a complex observation is ``2 * sigma2``.
+* A real input is whatever :func:`is_finite` accepts: a Python or numpy real
+  scalar that ``math.isfinite`` finds finite, checked entry by entry in an
+  array.  Each input rule has one owner that raises one ``ValueError``
+  message: ``check_sigma2`` here, ``channel.check_seed``, the mode rule of
+  ``montecarlo``, and the amplitude and rho rules of ``rates``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,22 @@ class Bit(enum.IntEnum):
 # weights_from_ratio keeps beta a normal float for every power in
 # [2e-300, 2e300], the signal powers of the CLI's dB range.
 MAX_RATIO = 1e150
+
+
+def is_finite(value) -> bool:
+    """Whether ``value`` is a finite real number: ``math.isfinite`` without
+    its TypeError for a non-number or OverflowError for a huge int."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def check_sigma2(sigma2) -> float:
+    """The noise-variance rule: a finite real > 0, returned as a float."""
+    if not (is_finite(sigma2) and sigma2 > 0.0):
+        raise ValueError(f"sigma2 must be a finite number > 0, got {sigma2!r}")
+    return float(sigma2)
 
 
 def mean_power(pair: tuple[float, float]) -> float:
@@ -64,7 +85,7 @@ class WeightPair:
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not is_finite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.beta <= 0:
@@ -110,10 +131,11 @@ def weights_from_ratio(ratio: float, avg_power: float) -> WeightPair:
     floats, so beta >= 2e-300, alpha <= 2e150 and the pair holds the
     requested power to a few ulp.
     """
-    if not math.isfinite(ratio) or not 1.0 < ratio <= MAX_RATIO:
+    if not (is_finite(ratio) and 1.0 < float(ratio) <= MAX_RATIO):
         raise ValueError(f"ratio must be a finite number in (1, {MAX_RATIO:g}], got {ratio!r}")
-    if not math.isfinite(avg_power) or avg_power <= 0.0:
+    if not (is_finite(avg_power) and avg_power > 0.0):
         raise ValueError(f"avg_power must be a finite number > 0, got {avg_power!r}")
+    ratio = float(ratio)
     # mean_power((ratio, 0.5)) is the power of the pair (ratio, 1).
     beta = math.sqrt(avg_power) / math.sqrt(mean_power((ratio, 0.5)))
     return WeightPair(alpha=ratio * beta, beta=beta)
@@ -126,10 +148,7 @@ class NoiseSpec:
     sigma2: float
 
     def __post_init__(self):
-        if not isinstance(self.sigma2, (int, float)) or not math.isfinite(self.sigma2):
-            raise ValueError(f"sigma2 must be a finite number, got {self.sigma2!r}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        object.__setattr__(self, "sigma2", check_sigma2(self.sigma2))
 
 
 @dataclass(frozen=True)
@@ -143,8 +162,6 @@ class SimReport:
     """
 
     n_symbols: int
-    seed: int
-    mode: str
     errors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):

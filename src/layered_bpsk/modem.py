@@ -25,12 +25,11 @@ under AWGN and a deterministic rule keeps every path reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bit, WeightPair
+from .core import Bit, WeightPair, is_finite
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,6 @@ def _bit(flag) -> Bit:
     return Bit.PLUS if flag else Bit.MINUS
 
 
-def _sample(y: float) -> np.float64:
-    if not math.isfinite(y):
-        raise ValueError(f"received sample must be finite, got {y!r}")
-    return np.float64(y)
-
-
 def encode_1d(x: Bit, z: Bit, w: WeightPair) -> float:
     """Map a bit pair to its layered amplitude: alpha*x when the bits agree,
     (beta/2)*z when they differ."""
@@ -98,8 +91,10 @@ def encode_1d(x: Bit, z: Bit, w: WeightPair) -> float:
 
 def demod_1d(y: float, w: WeightPair) -> Demod1DResult:
     """Two-stage hard demodulation of a real received sample."""
-    z_hat, x_hat = map(_bit, decide(_sample(y), w.beta))
-    return Demod1DResult(z_hat=z_hat, x_hat=x_hat, x_tilde=y - float(z_hat) * w.beta)
+    if not is_finite(y):
+        raise ValueError(f"received sample must be finite, got {y!r}")
+    z_hat, x_hat = map(_bit, decide(np.float64(y), w.beta))
+    return Demod1DResult(z_hat=z_hat, x_hat=x_hat, x_tilde=float(y) - float(z_hat) * w.beta)
 
 
 def encode_2d(x: Bit, z: Bit, xp: Bit, zp: Bit, w: WeightPair, wp: WeightPair) -> complex:

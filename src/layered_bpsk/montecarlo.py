@@ -34,17 +34,16 @@ the draws of one axis.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseStream, noise_real
-from .core import NoiseSpec, SimReport, WeightPair
+from .channel import NoiseStream, check_seed, noise_real
+from .core import NoiseSpec, SimReport, WeightPair, is_finite
 from .modem import _INDEX_BITS, amplitude_table, decide
-from .rates import layered_pdf, mixture_pdf
+from .rates import check_amplitude, layered_pdf, mixture_pdf
 
 DECISION_FEEDBACK = "decision-feedback"
 GENIE_AIDED = "genie-aided"
@@ -60,6 +59,12 @@ MAX_SYMBOLS = 10**9
 # larger count is far more likely a typo.
 MAX_WORKERS = 64
 _CHUNK = 1 << 17
+
+
+def _check_mode(mode) -> None:
+    """The mode rule: one of ``_MODES``."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,8 @@ class SimConfig:
         if not isinstance(self.n_symbols, int) or not MIN_SYMBOLS <= self.n_symbols <= MAX_SYMBOLS:
             raise ValueError(f"n_symbols must be an integer in [{MIN_SYMBOLS}, {MAX_SYMBOLS}], "
                              f"got {self.n_symbols!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        check_seed(self.seed)
+        _check_mode(self.mode)
         if not isinstance(self.workers, int) or not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be an integer in [1, {MAX_WORKERS}], "
                              f"got {self.workers!r}")
@@ -89,9 +92,9 @@ class SimConfig:
 
 def qfunc(t: float) -> float:
     """Gaussian tail probability Q(t) = erfc(t / sqrt(2)) / 2."""
-    if not math.isfinite(t):
+    if not is_finite(t):
         raise ValueError(f"qfunc requires a finite argument, got {t!r}")
-    return 0.5 * math.erfc(t / math.sqrt(2.0))
+    return 0.5 * math.erfc(float(t) / math.sqrt(2.0))
 
 
 def _tail(distance: float, sigma: float) -> float:
@@ -156,8 +159,7 @@ def ber_predictions_1d(w: WeightPair, spec: NoiseSpec, mode: str) -> tuple[float
     In genie-aided mode the sums equal 0.5*Q(a/sigma) + 0.5*Q(b/sigma) over
     ``w.sign_pair`` for z and over ``w.residual_pair`` for x.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_mode(mode)
     sigma = math.sqrt(spec.sigma2)
     edges = [-math.inf, *(w.beta * e for e in _EDGES), math.inf]
     regions = list(zip(edges, edges[1:]))
@@ -203,18 +205,18 @@ def _draw(stream: NoiseStream, size: int, axes: int):
 
 
 def _threshold(a: float, c: float) -> float:
-    """The least float n with fl(a + n) >= c, for finite a and c.
+    """The least float n with fl(a + n) >= c, for finite a and a finite
+    float below c.
 
     a + n rounds to c or above exactly when it lies above the midpoint of c
-    and the float below it, so the search starts at that midpoint less a,
-    which one fsum gives to within its last rounding.  Rounding is monotone,
-    so nextafter steps then make the threshold exact; it is +inf when no
-    finite n reaches c.
+    and the float below it, so the search starts at that midpoint less a.
+    One fsum of the halved terms gives half of it, which cannot overflow,
+    to within its last rounding, and doubling is exact up to the float
+    range; only subnormal terms lose a bit or two when halved.  Rounding is
+    monotone, so a few nextafter steps then make the threshold exact; it is
+    +inf when no finite n reaches c.
     """
-    try:
-        n = math.fsum((0.5 * c, 0.5 * math.nextafter(c, -math.inf), -a))
-    except OverflowError:  # the midpoint lies beyond the float range, on the side of -a
-        n = math.copysign(sys.float_info.max, -a)
+    n = 2.0 * math.fsum((0.25 * c, 0.25 * math.nextafter(c, -math.inf), -0.5 * a))
     while a + n < c:
         n = math.nextafter(n, math.inf)
     while a + math.nextafter(n, -math.inf) >= c:
@@ -255,8 +257,7 @@ def _simulate(cfg: SimConfig, points: Sequence[tuple[WeightPair, ...]]) -> list[
 
     counts = np.diff(_run_chunks(cfg, chunk), axis=-1, prepend=0)
     errors = _errors(counts, cfg.mode)
-    return [SimReport(n_symbols=cfg.n_symbols, seed=cfg.seed, mode=cfg.mode,
-                      errors=tuple((z, x) for z, x in row))
+    return [SimReport(n_symbols=cfg.n_symbols, errors=tuple((z, x) for z, x in row))
             for row in errors.tolist()]
 
 
@@ -292,7 +293,6 @@ class EntropyEstimate:
 
     bits: float
     std_error: float
-    n_symbols: int
 
 
 def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> EntropyEstimate:
@@ -308,8 +308,7 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
     if amplitude is None:
         table, density, shape = amplitude_table(cfg.w), layered_pdf, cfg.w
     else:
-        if not math.isfinite(amplitude) or amplitude < 0.0:
-            raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
+        amplitude = check_amplitude(amplitude)
         # The z bit is the sign.
         table, density, shape = np.where(_Z_BITS, amplitude, -amplitude), mixture_pdf, amplitude
 
@@ -322,4 +321,4 @@ def empirical_entropy(cfg: SimConfig, amplitude: float | None = None) -> Entropy
     ent_sum, ent_sumsq = _run_chunks(cfg, chunk).tolist()
     mean = ent_sum / n
     variance = max(ent_sumsq / n - mean * mean, 0.0) * n / (n - 1)
-    return EntropyEstimate(mean, math.sqrt(variance / n), n)
+    return EntropyEstimate(mean, math.sqrt(variance / n))

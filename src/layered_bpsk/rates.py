@@ -13,7 +13,7 @@ Two domains coexist here and are kept explicit throughout:
   evaluate at sigma2 = 1: the signal lives on one or both axes of a
   complex-baseband channel whose total noise power is ``N0 = 2 * sigma2``.
   ``signal_power(rho, sigma2)`` is the one place that power, 2 * sigma2 * rho,
-  is formed: ``snr_to_amplitude``, the layer weights of
+  is formed: ``snr_to_amplitude``, the amplitudes and layer weights of
   ``operating_point_grid`` and the CLI's ``ber`` weights read it, and every
   power of the CLI's dB range, 2e-300 to 2e300, gives valid layer weights.
   Under this standard normalization the capacity, BPSK and QPSK curves all
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .core import WeightPair, mean_power, weights_from_ratio
+from .core import WeightPair, check_sigma2, is_finite, mean_power, weights_from_ratio
 from .quadrature import MAX_STEP
 
 LOG2_E = math.log2(math.e)
@@ -74,15 +74,23 @@ LN2 = math.log(2.0)
 SATURATION_SIGMAS = 12.0
 
 
-def _check_sigma2(sigma2: float) -> float:
-    if not math.isfinite(sigma2) or sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be a finite number > 0, got {sigma2!r}")
-    return float(sigma2)
+def check_amplitude(amplitude) -> float:
+    """The amplitude rule: a finite real >= 0, returned as a float."""
+    if not (is_finite(amplitude) and amplitude >= 0.0):
+        raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
+    return float(amplitude)
+
+
+def _check_rho(rho) -> float:
+    """The received-SNR rule: a finite real >= 0, returned as a float."""
+    if not (is_finite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be a finite number >= 0, got {rho!r}")
+    return float(rho)
 
 
 def gaussian_entropy(sigma2: float) -> float:
     """Differential entropy in bits of a real N(0, sigma2) variable."""
-    return 0.5 * math.log2(2.0 * math.pi * math.e * _check_sigma2(sigma2))
+    return 0.5 * math.log2(2.0 * math.pi * math.e * check_sigma2(sigma2))
 
 
 def _points_pdf(y, points, sigma2: float):
@@ -96,15 +104,14 @@ def _points_pdf(y, points, sigma2: float):
 
 def mixture_pdf(y, amplitude: float, sigma2: float):
     """Density of an equiprobable two-point amplitude {+A, -A} plus noise."""
-    sigma2 = _check_sigma2(sigma2)
-    if not math.isfinite(amplitude) or amplitude < 0.0:
-        raise ValueError(f"amplitude must be a finite number >= 0, got {amplitude!r}")
+    sigma2 = check_sigma2(sigma2)
+    amplitude = check_amplitude(amplitude)
     return _points_pdf(y, (amplitude, -amplitude), sigma2)
 
 
 def layered_pdf(y, w: WeightPair, sigma2: float):
     """Density of the four-point layered constellation ``w.amplitudes``."""
-    return _points_pdf(y, w.amplitudes, _check_sigma2(sigma2))
+    return _points_pdf(y, w.amplitudes, check_sigma2(sigma2))
 
 
 # Largest exponent of the rule's error that a pair's step may spend; see
@@ -212,7 +219,7 @@ def _mi_bits(points, sigma2: float) -> np.ndarray:
     information.  The other rows are evaluated in noise deviations by
     ``_mixture_nats``.
     """
-    sigma = math.sqrt(_check_sigma2(sigma2))
+    sigma = math.sqrt(check_sigma2(sigma2))
     bits = np.empty(points.shape[0])
     rows = np.arange(bits.size)  # the rows whose rest is still open
     label, share = 0.0, 1.0  # bits of the pairs told apart so far, and the rest's weight
@@ -252,6 +259,8 @@ def mixture_mi(points, sigma2: float) -> float:
     instead, which pairs c_j with -c_j: the terms linear in t cancel
     exactly, so the low-SNR digits survive.
     """
+    if not all(map(is_finite, points)):
+        raise ValueError(f"points must be finite numbers, got {points!r}")
     row = np.sort(np.asarray(points, dtype=float))
     if not np.array_equal(row, -row[::-1]):
         raise ValueError(f"points must be symmetric about zero, got {points!r}")
@@ -268,11 +277,14 @@ def received_entropy_layered(w: WeightPair, sigma2: float) -> float:
 def bpsk_rate_grid(amplitudes, sigma2: float) -> np.ndarray:
     """``bpsk_rate`` of every amplitude in a 1-D sequence, as an array;
     element k equals ``bpsk_rate(amplitudes[k], sigma2)`` bit for bit."""
-    a = np.asarray(amplitudes, dtype=float).reshape(-1)
-    bad = ~(np.isfinite(a) & (a >= 0.0))
-    if bad.any():
-        raise ValueError(f"amplitude must be a finite number >= 0, got {float(a[bad][0])!r}")
-    return _mi_bits(np.multiply.outer(a, (-1.0, 1.0)), sigma2)
+    a = np.asarray(amplitudes).reshape(-1)
+    # One min/max pair checks a numeric array (a NaN fails the min).  Any
+    # other goes to the scalar rule entry by entry, as the caller passed
+    # them, which names the first bad one.
+    if a.dtype.kind not in "iuf" or a.size and not (a.min() >= 0.0 and a.max() < math.inf):
+        entries = np.asarray(amplitudes, dtype=object).reshape(-1).tolist()
+        a = np.array([check_amplitude(v) for v in entries])
+    return _mi_bits(np.multiply.outer(a.astype(float, copy=False), (-1.0, 1.0)), sigma2)
 
 
 def bpsk_rate(amplitude: float, sigma2: float) -> float:
@@ -350,19 +362,17 @@ def exact_mi_1d(w: WeightPair, sigma2: float) -> float:
 def shannon_capacity(rho: float) -> float:
     """AWGN capacity log2(1 + rho) at received SNR rho, through log1p so
     that no digit is lost at low SNR."""
-    if not math.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"rho must be a finite number >= 0, got {rho!r}")
-    return math.log1p(rho) / LN2
+    return math.log1p(_check_rho(rho)) / LN2
 
 
 def rho_bpsk(w: WeightPair, sigma2: float) -> float:
     """Average-power SNR of the layered constellation, power / sigma2."""
-    return w.average_power() / _check_sigma2(sigma2)
+    return w.average_power() / check_sigma2(sigma2)
 
 
 def rho_x(w: WeightPair, sigma2: float) -> float:
     """Equivalent SNR of the second stream from its residual amplitudes."""
-    return mean_power(w.residual_pair) / _check_sigma2(sigma2)
+    return mean_power(w.residual_pair) / check_sigma2(sigma2)
 
 
 def rate_diff(w: WeightPair, sigma2: float) -> float:
@@ -380,9 +390,7 @@ def signal_power(rho: float, sigma2: float) -> float:
 
 def snr_to_amplitude(rho: float, sigma2: float) -> float:
     """Amplitude whose power gives received SNR rho against N0 = 2 * sigma2."""
-    if not math.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"rho must be a finite number >= 0, got {rho!r}")
-    return math.sqrt(signal_power(rho, _check_sigma2(sigma2)))
+    return math.sqrt(signal_power(_check_rho(rho), check_sigma2(sigma2)))
 
 
 def bpsk_rate_at_snr(rho: float) -> float:
@@ -424,7 +432,7 @@ def _n0_energy(w: WeightPair, sigma2: float) -> float:
     halved before it is divided by sigma2, which is exact unless the power is
     subnormal, so neither a sigma2 nor a power above half the float range
     overflows where the result is finite."""
-    sigma2 = _check_sigma2(sigma2)
+    sigma2 = check_sigma2(sigma2)
     return 0.5 * w.average_power() / sigma2 + 0.5 * mean_power(w.residual_pair) / sigma2
 
 
@@ -481,10 +489,11 @@ def operating_point_grid(rhos, ratios=(), *, exact_mi: bool = True) -> list[Oper
     Eb/N0 divides by the same r_1.  With ``exact_mi=False`` the exact MI is
     left out and its field is None.
     """
-    rhos = [float(rho) for rho in rhos]
+    rhos = [_check_rho(rho) for rho in rhos]
     sigma2 = 1.0  # rho alone fixes every field; the variance only sets the scale
-    capacity = [shannon_capacity(rho) for rho in rhos]  # checks every rho
-    amplitudes = [snr_to_amplitude(rho, sigma2) for rho in rhos]
+    capacity = [shannon_capacity(rho) for rho in rhos]
+    # snr_to_amplitude without its checks: every rho is checked above.
+    amplitudes = [math.sqrt(signal_power(rho, sigma2)) for rho in rhos]
     amplitudes += [math.sqrt(sigma2 * rho) for rho in rhos]  # QPSK's per-axis amplitude
     weights = [weights_from_ratio(ratio, signal_power(rho, sigma2))
                for ratio in ratios for rho in rhos]

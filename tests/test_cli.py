@@ -350,6 +350,12 @@ class TestFailureModes:
         (("ber", "--mode", "foo"), "--mode"),
         (("rate-sweep", "--bogus"), "--bogus"),
         ((), "command"),
+        # A flag followed by another flag, not by its value.
+        (("rate-sweep", "--min-db", "--max-db", "3"), "--min-db"),
+        # Non-finite grid flags.
+        (("rate-sweep", "--min-db", "nan"), "finite"),
+        (("appendix", "--step-db", "inf"), "finite"),
+        (("capacity-gap", "--max-db", "-inf"), "finite"),
     ])
     def test_out_of_range_input_is_one_line_error(self, capsys, argv, flag):
         code, out, err = _run(capsys, *argv)

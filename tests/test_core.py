@@ -136,8 +136,7 @@ class TestNoiseSpec:
 
 class TestSimReport:
     def _kwargs(self, **overrides):
-        base = dict(n_symbols=10_000, seed=1, mode="genie-aided",
-                    errors=((10, 20),))
+        base = dict(n_symbols=10_000, errors=((10, 20),))
         base.update(overrides)
         return base
 

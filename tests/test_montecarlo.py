@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 import statistics
 import sys
 import threading
@@ -130,6 +131,24 @@ def _reaches_level_first(a, c, tau):
     return a + tau >= c > a + math.nextafter(tau, -math.inf)
 
 
+def _within(seconds, fn, *args):
+    """fn(*args), raising TimeoutError once it has run ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+MAX = sys.float_info.max
+BELOW_MAX = math.nextafter(MAX, 0.0)
+
+
 class TestThreshold:
     @given(ratio=st.floats(1.0, MAX_RATIO, exclude_min=True),
            sigma2=st.floats(1e-12, 1e12), snr_db=st.floats(-20.0, 40.0))
@@ -153,6 +172,21 @@ class TestThreshold:
     def test_float_range_ends(self, a, c, tau):
         assert _threshold(a, c) == tau
         assert _reaches_level_first(a, c, tau)
+
+    @pytest.mark.parametrize("a, c", [
+        # A plain fsum of c/2, (the float below c)/2 and -a overflows at the
+        # first three, although each threshold is finite.
+        (MAX, 1e308), (MAX, BELOW_MAX), (MAX, 1.5e308),
+        (MAX, MAX), (-MAX, BELOW_MAX), (1e308, -BELOW_MAX),
+        # Halving a subnormal loses its last bit, so the search steps down.
+        (0.0, -5e-324), (5e-324, 0.0),
+    ])
+    def test_finishes_at_the_ends_of_the_float_range(self, a, c):
+        assert _reaches_level_first(a, c, _within(5.0, _threshold, a, c))
+
+    def test_simulation_at_the_top_of_the_float_range_finishes(self):
+        cfg = SimConfig(n_symbols=10_000, w=WeightPair(MAX, 1e308), spec=SPEC1, seed=1)
+        assert _within(30.0, simulate_1d, cfg).errors == ((0, 0),)
 
 
 class TestPredictions:
